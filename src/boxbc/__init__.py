@@ -8,9 +8,6 @@ classical families (Hamming graphs, hypercubes, cycle products, tori, grids).
 
 from .centrality import METHODS, CentralityReport, average_distance, betweenness, wiener
 from .closedform import (
-    CLOSED_FORM_FAMILIES,
-    FamilyParams,
-    closed_form_value,
     cycle_product_wiener,
     cycle_wiener,
     debruijn_count,
@@ -63,19 +60,15 @@ from .product import (
     product_spec,
     product_wiener,
 )
-from .rational import ExactRational
 from .verify import SCOPES, CheckResult, run_verify
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CLOSED_FORM_FAMILIES",
     "CentralityReport",
     "CheckResult",
     "DisconnectedGraphError",
-    "ExactRational",
     "FAMILIES",
-    "FamilyParams",
     "GeodesicTable",
     "Graph",
     "GraphError",
@@ -88,7 +81,6 @@ __all__ = [
     "betweenness",
     "bfs_geodesics",
     "cartesian_product",
-    "closed_form_value",
     "complete",
     "cycle",
     "cycle_product_wiener",

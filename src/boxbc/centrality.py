@@ -15,9 +15,10 @@ from math import comb
 
 from .geodesic import all_pairs_tables
 from .graph import Graph, GraphError, require_connected
-from .rational import ONE, ZERO
 
 METHODS = ("definitional", "brandes")
+ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 @dataclass(frozen=True)

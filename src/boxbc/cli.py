@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from fractions import Fraction
 from typing import Sequence
 
 from .bench import BENCH_FAMILIES, BENCH_METHODS, bench_to_csv, run_bench
@@ -98,30 +99,27 @@ def _family_spec(family: str, params: list[int]) -> ProductSpec | None:
 
 
 def _closed_form_report(family: str, params: list[int], descriptor: str) -> CentralityReport:
-    if family == "hypercube":
-        (r,) = params
-        return CentralityReport("closed-form", descriptor, (hypercube_bc(r),), uniform=True)
-    if family == "hamming":
-        return CentralityReport("closed-form", descriptor, (hamming_bc(params),), uniform=True)
-    if family == "torus":
-        m, n = params
-        return CentralityReport("closed-form", descriptor, (torus_bc(m, n),), uniform=True)
-    if family == "cycle":
-        (n,) = params
-        value = even_cycles_bc([n]) if n % 2 == 0 else odd_cycles_bc([n])
-        return CentralityReport("closed-form", descriptor, (value,), uniform=True)
-    if family == "complete":
-        (n,) = params
-        return CentralityReport("closed-form", descriptor, (hamming_bc([n]),), uniform=True)
-    if family == "grid":
-        m, n = params
+    if family in ("grid", "path"):
+        m, n = params if family == "grid" else [1, *params]
         values = tuple(grid_bc(m, n, a, b) for a in range(1, m + 1) for b in range(1, n + 1))
         return CentralityReport("closed-form", descriptor, values)
-    if family == "path":
+    if family == "hypercube":
+        (r,) = params
+        value = hypercube_bc(r)
+    elif family == "hamming":
+        value = hamming_bc(params)
+    elif family == "torus":
+        m, n = params
+        value = torus_bc(m, n)
+    elif family == "cycle":
         (n,) = params
-        values = tuple(grid_bc(1, n, 1, b) for b in range(1, n + 1))
-        return CentralityReport("closed-form", descriptor, values)
-    raise GraphError(f"no closed form for family {family!r}")
+        value = even_cycles_bc([n]) if n % 2 == 0 else odd_cycles_bc([n])
+    elif family == "complete":
+        (n,) = params
+        value = Fraction(0) if n == 1 else hamming_bc([n])
+    else:
+        raise GraphError(f"no closed form for family {family!r}")
+    return CentralityReport("closed-form", descriptor, (value,), uniform=True)
 
 
 def cmd_gen(args: argparse.Namespace) -> int:

@@ -8,36 +8,12 @@ can be checked rather than assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
 from .graph import GraphError
-from .rational import HALF, ZERO
 
-CLOSED_FORM_FAMILIES = (
-    "hamming",
-    "uniform-kn",
-    "hypercube",
-    "even-cycles",
-    "odd-cycles",
-    "torus",
-    "grid",
-)
-
-
-@dataclass(frozen=True)
-class FamilyParams:
-    """Parameters of one closed-form family instance.
-
-    ``sizes`` holds the factor sizes (or ``(n, r)`` for ``uniform-kn`` and
-    ``(r,)`` for ``hypercube``); ``position`` is the 1-indexed ``(a, b)``
-    vertex required by the ``grid`` family.
-    """
-
-    family: str
-    sizes: tuple[int, ...]
-    position: tuple[int, int] | None = None
+HALF = Fraction(1, 2)
 
 
 def _product(values) -> int:
@@ -175,13 +151,11 @@ def grid_bc(m: int, n: int, a: int, b: int) -> Fraction:
     """
     if m < 1 or n < 1:
         raise GraphError(f"grid sides must be at least 1, got {m} x {n}")
-    if m * n < 2:
-        raise GraphError("grid betweenness needs at least two vertices")
     if not (1 <= a <= m and 1 <= b <= n):
         raise GraphError(f"position ({a}, {b}) outside grid 1..{m} x 1..{n}")
     low_high = ((1, a, 1, b), (a, m, b, n))  # quadrants A, B
     high_low = ((1, a, b, n), (a, m, 1, b))  # quadrants C, D
-    total = ZERO
+    total = Fraction(0)
     for u_box, v_box in (low_high, high_low):
         total += _grid_quadrant_sum(a, b, u_box, v_box)
     collinear = (a - 1) * (m - a) + (b - 1) * (n - b)
@@ -200,7 +174,7 @@ def _grid_quadrant_sum(a: int, b: int, u_box, v_box) -> Fraction:
         for q in range(vj0, vj1 + 1)
         if (p, q) != (a, b)
     ]
-    total = ZERO
+    total = Fraction(0)
     for i in range(ui0, ui1 + 1):
         for j in range(uj0, uj1 + 1):
             if (i, j) == (a, b):
@@ -251,30 +225,3 @@ def debruijn_count(k: int, n: int) -> int:
     if n < 0:
         raise GraphError(f"length must be non-negative, got {n}")
     return factorial(k * n) // factorial(n) ** k
-
-
-def closed_form_value(params: FamilyParams) -> Fraction:
-    """Evaluate the closed form selected by ``params``."""
-    family = params.family
-    if family == "hamming":
-        return hamming_bc(params.sizes)
-    if family == "uniform-kn":
-        n, r = params.sizes
-        return uniform_kn_bc(n, r)
-    if family == "hypercube":
-        (r,) = params.sizes
-        return hypercube_bc(r)
-    if family == "even-cycles":
-        return even_cycles_bc(params.sizes)
-    if family == "odd-cycles":
-        return odd_cycles_bc(params.sizes)
-    if family == "torus":
-        m, n = params.sizes
-        return torus_bc(m, n)
-    if family == "grid":
-        if params.position is None:
-            raise GraphError("grid closed form needs a vertex position")
-        m, n = params.sizes
-        a, b = params.position
-        return grid_bc(m, n, a, b)
-    raise GraphError(f"unknown closed-form family {family!r}; expected one of {CLOSED_FORM_FAMILIES}")

@@ -17,6 +17,8 @@ def parse_edge_list(text: str) -> Graph:
 
     Ids must be dense: every id below the vertex count has to appear in some
     edge (single-vertex graphs excepted), otherwise the first gap is named.
+    Range and density are decided from the ids alone, before anything sized
+    by the vertex count is allocated, so a large header or id fails cheaply.
     """
     header: int | None = None
     edges: list[tuple[int, int]] = []
@@ -38,16 +40,14 @@ def parse_edge_list(text: str) -> Graph:
         max_id = max(max_id, u, v)
         edges.append((u, v))
     vertex_count = header if header is not None else max_id + 1
-    graph = graph_from_edges(vertex_count, edges)
-    if vertex_count > 1:
-        used = [False] * vertex_count
-        for u, v in edges:
-            used[u] = True
-            used[v] = True
-        for vid, seen in enumerate(used):
-            if not seen:
-                raise GraphError(f"vertex ids are not dense: {vid} has no incident edge")
-    return graph
+    if max_id >= vertex_count:
+        bad = next(w for edge in edges for w in edge if w >= vertex_count)
+        raise GraphError(f"vertex id {bad} out of range 0..{vertex_count - 1}")
+    used = {w for edge in edges for w in edge}
+    if vertex_count > 1 and len(used) < vertex_count:
+        gap = next(vid for vid in range(vertex_count) if vid not in used)
+        raise GraphError(f"vertex ids are not dense: {gap} has no incident edge")
+    return graph_from_edges(vertex_count, edges)
 
 
 def _parse_id(token: str, lineno: int) -> int:

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph import DisconnectedGraphError, Graph, GraphError, require_connected
-from .rational import ZERO
 
 
 @dataclass(frozen=True)
@@ -52,16 +51,8 @@ def bfs_geodesics(g: Graph, source: int) -> GeodesicTable:
 
 
 def all_pairs_tables(g: Graph) -> tuple[GeodesicTable, ...]:
-    """Geodesic tables for every source, memoized on the graph instance.
-
-    Direct ``__dict__`` assignment sidesteps the frozen dataclass guard; the
-    graph itself never changes, so the cache is safe to share.
-    """
-    cached = g.__dict__.get("_geodesic_tables")
-    if cached is None:
-        cached = tuple(bfs_geodesics(g, s) for s in range(g.vertex_count))
-        object.__setattr__(g, "_geodesic_tables", cached)
-    return cached
+    """Geodesic tables for every source, memoized on the graph instance."""
+    return g.geodesic_tables
 
 
 def distance(g: Graph, u: int, v: int) -> int:
@@ -102,7 +93,7 @@ def pair_dependency(g: Graph, u: int, v: int, x: int) -> Fraction:
         raise GraphError("pair dependency needs two distinct endpoints")
     if x == u or x == v:
         g.check_vertex(x)
-        return ZERO
+        return Fraction(0)
     den = sigma(g, u, v)
     if den == 0:
         raise DisconnectedGraphError(f"vertices {u} and {v} are not connected")

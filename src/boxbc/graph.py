@@ -5,7 +5,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
+
+if TYPE_CHECKING:
+    from .geodesic import GeodesicTable
 
 
 class GraphError(ValueError):
@@ -35,6 +38,13 @@ class Graph:
     @cached_property
     def edge_count(self) -> int:
         return sum(len(nbrs) for nbrs in self.adjacency) // 2
+
+    @cached_property
+    def geodesic_tables(self) -> tuple[GeodesicTable, ...]:
+        """One BFS table per source, built on first use; read it through ``all_pairs_tables``."""
+        from .geodesic import bfs_geodesics  # imported here because geodesic imports this module
+
+        return tuple(bfs_geodesics(self, s) for s in range(self.vertex_count))
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[self.check_vertex(v)])

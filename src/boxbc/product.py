@@ -19,9 +19,9 @@ from typing import Iterable, Sequence
 from .centrality import wiener
 from .geodesic import GeodesicTable, all_pairs_tables
 from .graph import Graph, GraphError, graph_from_edges, require_connected
-from .rational import ZERO
 
 Coords = tuple[int, ...]
+ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -45,6 +45,11 @@ class ProductSpec:
         for i in range(len(self.factors) - 2, -1, -1):
             strides[i] = strides[i + 1] * self.radices[i + 1]
         return tuple(strides)
+
+    @cached_property
+    def factor_tables(self) -> tuple[tuple[GeodesicTable, ...], ...]:
+        """All-pairs geodesic tables of every factor, in factor order."""
+        return tuple(all_pairs_tables(f) for f in self.factors)
 
     @cached_property
     def vertex_count(self) -> int:
@@ -116,15 +121,6 @@ def cartesian_product(factors: Iterable[Graph]) -> ProductGraph:
     return ProductGraph(spec, graph_from_edges(spec.vertex_count, edges))
 
 
-def factor_tables(spec: ProductSpec) -> tuple[tuple[GeodesicTable, ...], ...]:
-    """All-pairs geodesic tables of every factor, computed once per spec."""
-    cached = spec.__dict__.get("_factor_tables")
-    if cached is None:
-        cached = tuple(all_pairs_tables(f) for f in spec.factors)
-        object.__setattr__(spec, "_factor_tables", cached)
-    return cached
-
-
 def _check_coords(spec: ProductSpec, coords: Sequence[int]) -> Coords:
     spec.encode(coords)
     return tuple(coords)
@@ -144,7 +140,7 @@ def product_distance(spec: ProductSpec, u: Sequence[int], v: Sequence[int]) -> i
     """Distance in the product: the sum of per-factor distances."""
     u = _check_coords(spec, u)
     v = _check_coords(spec, v)
-    tables = factor_tables(spec)
+    tables = spec.factor_tables
     return sum(tables[i][u[i]].dist[v[i]] for i in range(len(spec.factors)))
 
 
@@ -156,7 +152,7 @@ def product_sigma(spec: ProductSpec, u: Sequence[int], v: Sequence[int]) -> int:
     """
     u = _check_coords(spec, u)
     v = _check_coords(spec, v)
-    tables = factor_tables(spec)
+    tables = spec.factor_tables
     count = 1
     dists = []
     for i in range(len(spec.factors)):
@@ -175,7 +171,7 @@ def interval_membership(spec: ProductSpec, v1: Sequence[int], v2: Sequence[int],
     v1 = _check_coords(spec, v1)
     v2 = _check_coords(spec, v2)
     v3 = _check_coords(spec, v3)
-    tables = factor_tables(spec)
+    tables = spec.factor_tables
     for i in range(len(spec.factors)):
         ta = tables[i][v1[i]]
         tc = tables[i][v3[i]]
@@ -199,7 +195,7 @@ def product_pair_dependency(spec: ProductSpec, u: Sequence[int], v: Sequence[int
         raise GraphError("pair dependency needs two distinct endpoints")
     if x == u or x == v:
         return ZERO
-    tables = factor_tables(spec)
+    tables = spec.factor_tables
     num = 1
     den = 1
     d_ux: list[int] = []
@@ -252,7 +248,7 @@ def factorized_betweenness_all(spec: ProductSpec) -> tuple[Fraction, ...]:
     Pair-outer accumulation: for each unordered pair the interval test prunes
     cheap misses, and the shared denominator is built once per pair.
     """
-    tables = factor_tables(spec)
+    tables = spec.factor_tables
     coords = spec.coordinates()
     n = spec.vertex_count
     k = len(spec.factors)

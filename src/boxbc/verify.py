@@ -54,7 +54,6 @@ from .product import (
     product_spec,
     product_wiener,
 )
-from .rational import ONE, ZERO
 from .report import report_from_json, report_to_csv, report_to_json, values_from_csv
 
 SCOPES = ("core", "products", "closed-forms", "sum-identity", "cli", "all")
@@ -239,7 +238,7 @@ def _check_dependency_range() -> str:
                     if x in (u, v):
                         continue
                     value = pair_dependency(g, u, v, x)
-                    if not ZERO <= value <= ONE:
+                    if not 0 <= value <= 1:
                         raise CheckFailure(f"{label}: delta({u},{v}|{x}) = {value} outside [0,1]")
                     triples += 1
     return f"pair dependencies within [0,1] on {triples} triples"

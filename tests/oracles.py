@@ -9,6 +9,7 @@ purpose; use small graphs.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from boxbc import Graph
 
@@ -26,11 +27,13 @@ def _matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     return out
 
 
+@lru_cache(maxsize=None)
 def matrix_geodesics(g: Graph) -> tuple[list[list[int]], list[list[int]]]:
     """(dist, count) matrices; count[u][v] = (A^d)[u][v] at the first d with a walk.
 
     Every walk of minimal length is a geodesic, so the matrix power counts
-    them.  Unreachable pairs keep dist -1 and count 0.
+    them.  Unreachable pairs keep dist -1 and count 0.  Memoized per graph:
+    callers share the matrices and must not modify them.
     """
     n = g.vertex_count
     adj = [[0] * n for _ in range(n)]
@@ -53,8 +56,12 @@ def matrix_geodesics(g: Graph) -> tuple[list[list[int]], list[list[int]]]:
     return dist, count
 
 
+@lru_cache(maxsize=None)
 def all_geodesics(g: Graph, u: int, v: int) -> list[tuple[int, ...]]:
-    """Every geodesic from u to v as a vertex tuple, by exhaustive DFS."""
+    """Every geodesic from u to v as a vertex tuple, by exhaustive DFS.
+
+    Memoized per (graph, u, v): callers share the list and must not modify it.
+    """
     dist, _ = matrix_geodesics(g)
     target = dist[u][v]
     if target < 0:

@@ -4,8 +4,11 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from boxbc import cycle, format_edge_list, grid, hypercube, parse_edge_list
 from boxbc.cli import main
+from boxbc.report import values_from_csv
 
 
 def run_cli(capsys, *argv):
@@ -65,6 +68,38 @@ def test_bc_closed_form_grid_positions(capsys):
     rows = out.splitlines()[1:]
     assert len(rows) == 9
     assert rows[4].startswith("4,32/3,")
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        ["hypercube", "3"],
+        ["hamming", "2", "3"],
+        ["torus", "3", "3"],
+        ["torus", "4", "4"],
+        ["torus", "3", "4"],
+        ["cycle", "5"],
+        ["cycle", "6"],
+        ["complete", "4"],
+        ["complete", "1"],
+        ["path", "5"],
+        ["path", "1"],
+        ["grid", "3", "4"],
+    ],
+    ids=" ".join,
+)
+def test_bc_closed_form_matches_brandes(capsys, family):
+    outputs = {}
+    for method in ("closed-form", "brandes"):
+        code, out, err = run_cli(capsys, "bc", "--family", *family, "--method", method)
+        assert code == 0, err
+        outputs[method] = values_from_csv(out)
+    closed, brandes = outputs["closed-form"], outputs["brandes"]
+    if "*" in closed:
+        assert list(closed) == ["*"]
+        assert set(brandes.values()) == {closed["*"]}
+    else:
+        assert closed == brandes
 
 
 def test_bc_methods_agree_on_factors(capsys, tmp_path):

@@ -5,11 +5,9 @@ from fractions import Fraction
 import pytest
 
 from boxbc import (
-    FamilyParams,
     GraphError,
     betweenness,
     cartesian_product,
-    closed_form_value,
     complete,
     cycle,
     cycle_product_wiener,
@@ -193,20 +191,6 @@ def test_debruijn_counts():
         debruijn_count(0, 3)
     with pytest.raises(GraphError):
         debruijn_count(2, -1)
-
-
-def test_closed_form_dispatch():
-    assert closed_form_value(FamilyParams("hamming", (3, 4))) == 3
-    assert closed_form_value(FamilyParams("uniform-kn", (2, 3))) == Fraction(5, 2)
-    assert closed_form_value(FamilyParams("hypercube", (4,))) == Fraction(17, 2)
-    assert closed_form_value(FamilyParams("even-cycles", (4, 4))) == Fraction(17, 2)
-    assert closed_form_value(FamilyParams("odd-cycles", (3, 3))) == 2
-    assert closed_form_value(FamilyParams("torus", (3, 4))) == Fraction(9, 2)
-    assert closed_form_value(FamilyParams("grid", (3, 3), position=(2, 2))) == Fraction(32, 3)
-    with pytest.raises(GraphError):
-        closed_form_value(FamilyParams("grid", (3, 3)))
-    with pytest.raises(GraphError):
-        closed_form_value(FamilyParams("moebius", (3,)))
 
 
 def test_complete_factor_degenerate():

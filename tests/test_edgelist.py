@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import given
 
@@ -61,6 +63,25 @@ def test_header_after_edges_is_an_edge_line():
 def test_density_gap_is_named():
     with pytest.raises(GraphError, match="not dense: 1"):
         parse_edge_list("0 2\n")
+
+
+def test_large_header_fails_before_allocating():
+    # Range and density are decided from the ids, so neither a large header
+    # nor a large id allocates anything sized by the vertex count.
+    cases = (
+        ("n 200000\n0 1\n", "not dense: 2"),
+        ("0 200000\n", "not dense: 1"),
+        ("n 200000\n0 200000\n", "vertex id 200000 out of range"),
+    )
+    for text, message in cases:
+        tracemalloc.start()
+        try:
+            with pytest.raises(GraphError, match=message):
+                parse_edge_list(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (text, peak)
 
 
 def test_empty_and_single():
