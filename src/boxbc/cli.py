@@ -27,7 +27,7 @@ from .closedform import (
     torus_bc,
 )
 from .edgelist import format_edge_list, load_graph
-from .generators import FAMILIES, complete, cycle, generate, path
+from .generators import FAMILIES, check_family, complete, cycle, generate, path
 from .graph import GraphError
 from .product import (
     ProductSpec,
@@ -83,7 +83,10 @@ def _family_request(values: list[str]) -> tuple[str, list[int]]:
 
 
 def _family_spec(family: str, params: list[int]) -> ProductSpec | None:
-    """Product structure of a family, when it has one, for coordinate labels."""
+    """Product structure of a family, when it has one, for coordinate labels.
+
+    Called only on parameters that already passed ``check_family``.
+    """
     if family == "grid":
         m, n = params
         return product_spec([path(m), path(n)])
@@ -99,6 +102,7 @@ def _family_spec(family: str, params: list[int]) -> ProductSpec | None:
 
 
 def _closed_form_report(family: str, params: list[int], descriptor: str) -> CentralityReport:
+    check_family(family, *params)
     if family in ("grid", "path"):
         m, n = params if family == "grid" else [1, *params]
         values = tuple(grid_bc(m, n, a, b) for a in range(1, m + 1) for b in range(1, n + 1))
@@ -196,11 +200,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     results = run_verify(args.scope)
     failures = 0
     for r in results:
-        if r.passed:
-            print(f"ok   [{r.scope}] {r.name}: {r.detail}")
-        else:
-            failures += 1
-            print(f"FAIL [{r.scope}] {r.name}: {r.detail}")
+        failures += not r.passed
+        status = "ok  " if r.passed else "FAIL"
+        print(f"{status} [{r.scope}] {r.name}: {r.detail} ({r.seconds:.2f} s)")
     print(f"{len(results) - failures}/{len(results)} checks passed")
     return EXIT_OK if failures == 0 else EXIT_VERIFY
 

@@ -6,14 +6,25 @@ factor, so the count multiplies the factor counts by the number of ways to
 interleave the factor steps (a multinomial coefficient).  Pair dependencies
 therefore factor through per-factor geodesic tables, and betweenness of a
 product vertex never needs a search of the product itself.
+
+Betweenness goes one step further.  With ``a_i = d(u_i,x_i)``,
+``b_i = d(x_i,v_i)``, ``A = sum a_i`` and ``B = sum b_i``, the dependency of
+``(u, v)`` on ``x`` is ``A! B! / (A+B)!`` times the product over factors of
+``sigma(u_i,x_i) sigma(x_i,v_i) / sigma(u_i,v_i) * C(a_i+b_i, a_i)``.  So each
+factor vertex gets a distance profile, a polynomial in ``(a, b)`` summing its
+factor terms, built in ``O(n_i^3)`` per factor; a product vertex's betweenness
+is read off the product of its coordinates' profiles.  Equal profiles share
+one id, so the value depends only on the sorted ids, and a vertex-transitive
+product needs a single polynomial product.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb
+from math import comb, lcm
 from typing import Iterable, Sequence
 
 from .centrality import wiener
@@ -21,6 +32,7 @@ from .geodesic import GeodesicTable, all_pairs_tables
 from .graph import Graph, GraphError, graph_from_edges, require_connected
 
 Coords = tuple[int, ...]
+Profile = tuple[tuple[tuple[int, int], Fraction], ...]
 ZERO = Fraction(0)
 
 
@@ -220,74 +232,91 @@ def product_pair_dependency(spec: ProductSpec, u: Sequence[int], v: Sequence[int
     return Fraction(num, den)
 
 
+def _profile(tables: Sequence[GeodesicTable], x: int) -> Profile:
+    """Distance profile of factor vertex ``x``: a polynomial in ``(a, b)``.
+
+    Sums ``sigma(u,x) * sigma(x,v) / sigma(u,v) * C(a+b, a)`` over the ordered
+    factor pairs ``(u, v)`` with ``x`` on a ``u``-``v`` geodesic, keyed by
+    ``a = d(u,x)`` and ``b = d(x,v)``.  The pair ``(x, x)`` gives the constant
+    term 1.  Returned as sorted ``((a, b), coefficient)`` items, so equal
+    profiles compare and hash equal whatever graph they came from.
+    """
+    tx = tables[x]
+    x_dist, x_sigma = tx.dist, tx.sigma
+    # integer sums keyed by (a, b, sigma(u,v)), so the n^2 loop never builds a Fraction
+    sums: dict[tuple[int, int, int], int] = {}
+    for tu in tables:
+        a = tu.dist[x]
+        s_ux = tu.sigma[x]
+        for b, s_xv, d_uv, s_uv in zip(x_dist, x_sigma, tu.dist, tu.sigma):
+            if a + b == d_uv:
+                key = (a, b, s_uv)
+                sums[key] = sums.get(key, 0) + s_ux * s_xv
+    coefficients: dict[tuple[int, int], Fraction] = {}
+    for (a, b, s_uv), num in sums.items():
+        coefficients[a, b] = coefficients.get((a, b), ZERO) + Fraction(num * comb(a + b, a), s_uv)
+    return tuple(sorted(coefficients.items()))
+
+
+def _class_betweenness(profiles: Iterable[Profile]) -> Fraction:
+    """Betweenness of a product vertex whose coordinates have these profiles.
+
+    Multiplies the profiles; the coefficient at ``(A, B)`` then sums
+    ``sigma(u,x) * sigma(x,v) / sigma(u,v) * C(A+B, A)`` over the ordered
+    product pairs at those distances from ``x``.  Dividing by ``C(A+B, A)``
+    and halving over ``A, B > 0`` gives the sum over unordered pairs that
+    avoid ``x``.  Coefficients are scaled to integers for the product.
+    """
+    poly = {(0, 0): 1}
+    scale = 1
+    for profile in profiles:
+        den = lcm(*(c.denominator for _, c in profile))
+        scale *= den
+        terms = [(a, b, c.numerator * (den // c.denominator)) for (a, b), c in profile]
+        step: dict[tuple[int, int], int] = {}
+        for (a0, b0), c0 in poly.items():
+            for a, b, c in terms:
+                key = (a0 + a, b0 + b)
+                step[key] = step.get(key, 0) + c0 * c
+        poly = step
+    inner = [(comb(a + b, a), c) for (a, b), c in poly.items() if a and b]
+    common = lcm(*(binomial for binomial, _ in inner))
+    return Fraction(sum(c * (common // binomial) for binomial, c in inner), 2 * common * scale)
+
+
 def factorized_betweenness(spec: ProductSpec, x: Sequence[int]) -> Fraction:
     """Betweenness of one product vertex, summed over unordered product pairs.
 
-    Works entirely from the factor geodesic tables; the product graph is never
-    materialized or searched.
+    Builds one profile per coordinate, ``O(n_i^2)`` each from the factor
+    geodesic tables; the product graph is never materialized or searched.
     """
     x = _check_coords(spec, x)
-    xid = spec.encode(x)
-    coords = spec.coordinates()
-    n = spec.vertex_count
-    total = ZERO
-    for uid in range(n):
-        if uid == xid:
-            continue
-        cu = coords[uid]
-        for vid in range(uid + 1, n):
-            if vid == xid:
-                continue
-            total += product_pair_dependency(spec, cu, coords[vid], x)
-    return total
+    return _class_betweenness(_profile(all_pairs_tables(f), c) for f, c in zip(spec.factors, x))
 
 
 def factorized_betweenness_all(spec: ProductSpec) -> tuple[Fraction, ...]:
-    """Betweenness of every product vertex via the factorized dependency.
+    """Betweenness of every product vertex, one profile product per class.
 
-    Pair-outer accumulation: for each unordered pair the interval test prunes
-    cheap misses, and the shared denominator is built once per pair.
+    Profiles are built once per distinct factor and interned by content, so
+    a vertex's class is the sorted tuple of its coordinates' profile ids.
+    Values are memoized per class and listed in vertex-id order.
     """
-    tables = spec.factor_tables
-    coords = spec.coordinates()
-    n = spec.vertex_count
-    k = len(spec.factors)
-    acc = [ZERO] * n
-    idx = range(k)
-    for uid in range(n):
-        cu = coords[uid]
-        t_u = [tables[i][cu[i]] for i in idx]
-        for vid in range(uid + 1, n):
-            cv = coords[vid]
-            den = 1
-            d_uv = []
-            for i in idx:
-                den *= t_u[i].sigma[cv[i]]
-                d_uv.append(t_u[i].dist[cv[i]])
-            den *= _multinomial(d_uv)
-            for xid in range(n):
-                if xid == uid or xid == vid:
-                    continue
-                cx = coords[xid]
-                num = 1
-                d_ux = []
-                d_xv = []
-                for i in idx:
-                    tu = t_u[i]
-                    tx = tables[i][cx[i]]
-                    c, b = cx[i], cv[i]
-                    dac = tu.dist[c]
-                    dcb = tx.dist[b]
-                    if dac + dcb != tu.dist[b]:
-                        num = 0
-                        break
-                    num *= tu.sigma[c] * tx.sigma[b]
-                    d_ux.append(dac)
-                    d_xv.append(dcb)
-                if num:
-                    num *= _multinomial(d_ux) * _multinomial(d_xv)
-                    acc[xid] += Fraction(num, den)
-    return tuple(acc)
+    ids: dict[Profile, int] = {}
+    by_factor: dict[Graph, tuple[int, ...]] = {}
+    for f in spec.factors:
+        if f not in by_factor:
+            tables = all_pairs_tables(f)
+            by_factor[f] = tuple(ids.setdefault(_profile(tables, x), len(ids)) for x in range(f.vertex_count))
+    profiles = tuple(ids)
+    memo: dict[tuple[int, ...], Fraction] = {}
+    values = []
+    for coordinate_ids in itertools.product(*(by_factor[f] for f in spec.factors)):
+        key = tuple(sorted(coordinate_ids))
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = _class_betweenness(profiles[i] for i in key)
+        values.append(value)
+    return tuple(values)
 
 
 def product_wiener(factors: Iterable[Graph]) -> int:

@@ -14,6 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb, factorial, prod
+from time import perf_counter
 from typing import Callable, Iterator
 
 from .centrality import average_distance, betweenness, wiener
@@ -67,6 +68,7 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+    seconds: float
 
 
 class CheckFailure(Exception):
@@ -92,11 +94,12 @@ def run_verify(scope: str = "all") -> list[CheckResult]:
     for check_scope, name, fn in _CHECKS:
         if scope != "all" and check_scope != scope:
             continue
+        start = perf_counter()
         try:
-            detail = fn()
-            results.append(CheckResult(check_scope, name, True, detail))
+            passed, detail = True, fn()
         except CheckFailure as failure:
-            results.append(CheckResult(check_scope, name, False, str(failure)))
+            passed, detail = False, str(failure)
+        results.append(CheckResult(check_scope, name, passed, detail, perf_counter() - start))
     return results
 
 
@@ -137,7 +140,7 @@ def _product_multisets(max_vertices: int, max_arity: int) -> tuple[tuple[str, tu
 
 @lru_cache(maxsize=1)
 def _agreement_instances() -> tuple[tuple[str, tuple[Graph, ...]], ...]:
-    k2, k3 = complete(2), complete(3)
+    k2, k3, c4 = complete(2), complete(3), cycle(4)
     pairs = [
         (f"{a} x {b}", (g, h))
         for (a, g), (b, h) in combinations_with_replacement(_distinct_basket(), 2)
@@ -146,6 +149,9 @@ def _agreement_instances() -> tuple[tuple[str, tuple[Graph, ...]], ...]:
     pairs.append(("Q_3", (k2, k2, k2)))
     pairs.append(("Q_4", (k2, k2, k2, k2)))
     pairs.append(("K_2 x K_2 x K_3", (k2, k2, k3)))
+    # three distinct factors, not vertex transitive: several profile classes
+    pairs.append(("star_3 x P_4 x C_4", (star(3), path(4), c4)))
+    pairs.append(("K_2 x P_3 x C_4", (k2, path(3), c4)))
     return tuple(pairs)
 
 

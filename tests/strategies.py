@@ -45,3 +45,15 @@ def small_factors(draw, max_product: int = 40, max_arity: int = 3) -> list[Graph
     if not factors:
         factors.append(path(draw(st.integers(2, 5))))
     return factors
+
+
+@st.composite
+def random_factors(draw, max_product: int = 48, max_arity: int = 3) -> list[Graph]:
+    """One to ``max_arity`` random connected factors, one-vertex factors included."""
+    factors: list[Graph] = []
+    budget = max_product
+    for _ in range(draw(st.integers(1, max_arity))):
+        g = draw(connected_graphs(min_vertices=1, max_vertices=min(6, budget)))
+        budget //= g.vertex_count
+        factors.append(g)
+    return factors

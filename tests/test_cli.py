@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 
@@ -102,6 +103,23 @@ def test_bc_closed_form_matches_brandes(capsys, family):
         assert closed == brandes
 
 
+@pytest.mark.parametrize(
+    "family, message",
+    [
+        (["torus", "3"], "family 'torus' takes 2 parameter(s), got 1"),
+        (["hypercube"], "family 'hypercube' takes 1 parameter(s), got 0"),
+        (["path", "2", "3"], "family 'path' takes 1 parameter(s), got 2"),
+        (["path", "0"], "path needs at least 1 vertex, got 0"),
+    ],
+    ids=["torus 3", "hypercube", "path 2 3", "path 0"],
+)
+def test_bc_closed_form_checks_parameters(capsys, family, message):
+    # the closed-form route reports bad parameters exactly as generating the family does
+    code, out, err = run_cli(capsys, "bc", "--family", *family, "--method", "closed-form")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert run_cli(capsys, "gen", *family) == (2, "", f"error: {message}\n")
+
+
 def test_bc_methods_agree_on_factors(capsys, tmp_path):
     k3 = tmp_path / "k3.el"
     k3.write_text("n 3\n0 1\n0 2\n1 2\n")
@@ -161,6 +179,16 @@ def test_verify_scope(capsys):
     assert code == 0
     assert "[sum-identity] totals" in out
     assert out.strip().endswith("1/1 checks passed")
+
+
+def test_verify_prints_check_seconds(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--scope", "cli")
+    lines = out.splitlines()
+    assert code == 0
+    assert len(lines) == 3
+    for line in lines[:-1]:
+        assert re.fullmatch(r"ok   \[cli\] [a-z-]+: .+ \(\d+\.\d\d s\)", line), line
+    assert lines[-1] == "2/2 checks passed"
 
 
 def test_verify_rejects_unknown_scope(capsys):

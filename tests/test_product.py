@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import permutations
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
+import boxbc.product
 from boxbc import (
     Graph,
     GraphError,
@@ -19,6 +21,7 @@ from boxbc import (
     graph_from_edges,
     grid,
     hypercube,
+    hypercube_bc,
     interval_membership,
     path,
     product_distance,
@@ -27,10 +30,11 @@ from boxbc import (
     product_spec,
     product_wiener,
     star,
+    torus_bc,
     wiener,
 )
 from oracles import enumerated_dependency, matrix_geodesics
-from strategies import small_factors
+from strategies import random_factors, small_factors
 
 
 def test_spec_layout():
@@ -151,11 +155,66 @@ def test_factorized_betweenness_matches_brandes(factors: list[Graph]):
     assert factorized_betweenness_all(pg.spec) == betweenness(pg.graph).values
 
 
+@given(random_factors())
+@example([cycle(4), path(1), star(2)])
+@settings(max_examples=40, deadline=None)
+def test_profile_route_matches_brandes_on_random_factors(factors: list[Graph]):
+    pg = cartesian_product(factors)
+    expected = betweenness(pg.graph).values
+    assert factorized_betweenness_all(pg.spec) == expected
+    last = pg.spec.vertex_count - 1
+    assert factorized_betweenness(pg.spec, pg.spec.decode(last)) == expected[last]
+
+
+def test_equal_factors_share_profiles(monkeypatch):
+    g = path(3)
+    twin = graph_from_edges(3, list(g.edges()))
+    assert twin == g and twin is not g
+    factors = [g, twin, cycle(5)]
+    calls = {"_profile": 0, "_class_betweenness": 0}
+    for name in calls:
+        original = getattr(boxbc.product, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(boxbc.product, name, counted)
+    values = factorized_betweenness_all(product_spec(factors))
+    # profiles are built once per distinct factor content (3 + 5 vertices);
+    # P_3 has two profiles (end, middle) and C_5 one, so the sorted classes
+    # are {end, end}, {end, middle} and {middle, middle}
+    assert calls == {"_profile": 8, "_class_betweenness": 3}
+    assert values == betweenness(cartesian_product(factors).graph).values
+
+
+def test_factor_order_permutes_values():
+    factors = [star(3), path(4), cycle(4)]
+    spec = product_spec(factors)
+    values = factorized_betweenness_all(spec)
+    for order in permutations(range(len(factors))):
+        permuted = product_spec([factors[i] for i in order])
+        permuted_values = factorized_betweenness_all(permuted)
+        for vid, coords in enumerate(spec.coordinates()):
+            assert permuted_values[permuted.encode([coords[i] for i in order])] == values[vid]
+
+
+def test_profile_route_matches_closed_forms_at_scale():
+    # 16,384 and 900 vertices: one profile class each, far past materialized reach
+    assert factorized_betweenness_all(product_spec([complete(2)] * 14)) == (hypercube_bc(14),) * 2**14
+    assert factorized_betweenness_all(product_spec([cycle(30)] * 2)) == (torus_bc(30, 30),) * 900
+
+
 def test_single_vertex_route_agrees():
     spec = product_spec([path(3), path(3)])
     full = factorized_betweenness_all(spec)
     assert factorized_betweenness(spec, (1, 1)) == full[spec.encode((1, 1))]
     assert factorized_betweenness(spec, (0, 0)) == full[0]
+    # the pair-by-pair sum of factorized dependencies stays the reference
+    coords = spec.coordinates()
+    for x in coords:
+        pairs = [(u, v) for i, u in enumerate(coords) for v in coords[i + 1:] if x not in (u, v)]
+        assert factorized_betweenness(spec, x) == sum(product_pair_dependency(spec, u, v, x) for u, v in pairs)
 
 
 def test_grid_center_anchor():
