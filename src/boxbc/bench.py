@@ -11,15 +11,24 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from math import prod
 from time import perf_counter
 from typing import Iterator, Sequence
 
 from .centrality import betweenness
-from .generators import complete, cycle, path
+from .generators import family_factors
 from .graph import Graph, GraphError
 from .product import cartesian_product, factorized_betweenness_all, product_spec
 
-BENCH_FAMILIES = ("torus", "hamming", "grid", "hypercube")
+# family -> (least ladder size, instance label, parameter count); rung m is
+# the family instance whose parameters all equal m
+_LADDERS = {
+    "torus": (3, "C_{m} x C_{m}", 2),
+    "hamming": (2, "K_{m} x K_{m}", 2),
+    "grid": (2, "P_{m} x P_{m}", 2),
+    "hypercube": (1, "Q_{m}", 1),
+}
+BENCH_FAMILIES = tuple(_LADDERS)
 BENCH_METHODS = ("brandes", "factorized")
 
 # Keep accidental ladder sizes from materializing something enormous.
@@ -34,21 +43,14 @@ class BenchRow:
     seconds: float
 
 
-def _ladder(family: str, maximum: int) -> Iterator[tuple[str, tuple[Graph, ...]]]:
-    if family == "torus":
-        low, size = 3, lambda m: (f"C_{m} x C_{m}", (cycle(m), cycle(m)))
-    elif family == "hamming":
-        low, size = 2, lambda m: (f"K_{m} x K_{m}", (complete(m), complete(m)))
-    elif family == "grid":
-        low, size = 2, lambda m: (f"P_{m} x P_{m}", (path(m), path(m)))
-    elif family == "hypercube":
-        low, size = 1, lambda m: (f"Q_{m}", (complete(2),) * m)
-    else:
+def _ladder(family: str, maximum: int) -> Iterator[tuple[str, list[Graph]]]:
+    if family not in _LADDERS:
         raise GraphError(f"unknown bench family {family!r}; expected one of {', '.join(BENCH_FAMILIES)}")
+    low, label, count = _LADDERS[family]
     if maximum < low:
         raise GraphError(f"bench family {family!r} needs a maximum of at least {low}")
     for m in range(low, maximum + 1):
-        yield size(m)
+        yield label.format(m=m), family_factors(family, *[m] * count)
 
 
 def run_bench(
@@ -62,9 +64,7 @@ def run_bench(
             raise GraphError(f"unknown bench method {method!r}; expected one of {', '.join(BENCH_METHODS)}")
     rows = []
     for label, factors in _ladder(family, maximum):
-        n = 1
-        for g in factors:
-            n *= g.vertex_count
+        n = prod(g.vertex_count for g in factors)
         if n > _MAX_BENCH_VERTICES:
             raise GraphError(f"{label} has {n} vertices; bench instances are capped at {_MAX_BENCH_VERTICES}")
         for method in methods:

@@ -27,7 +27,9 @@ from .closedform import (
     torus_bc,
 )
 from .edgelist import format_edge_list, load_graph
-from .generators import FAMILIES, check_family, complete, cycle, generate, path
+from .generators import FAMILIES, check_family, family_factors, generate
+# perfbench/traced_child.py times these builders under their ``cli`` names
+from .generators import complete, cycle, path  # noqa: F401
 from .graph import GraphError
 from .product import (
     ProductSpec,
@@ -80,25 +82,6 @@ def _family_request(values: list[str]) -> tuple[str, list[int]]:
     except ValueError:
         raise _UsageError(f"family parameters must be integers, got {values[1:]}") from None
     return family, params
-
-
-def _family_spec(family: str, params: list[int]) -> ProductSpec | None:
-    """Product structure of a family, when it has one, for coordinate labels.
-
-    Called only on parameters that already passed ``check_family``.
-    """
-    if family == "grid":
-        m, n = params
-        return product_spec([path(m), path(n)])
-    if family == "hypercube":
-        (r,) = params
-        return product_spec([complete(2)] * r)
-    if family == "hamming":
-        return product_spec([complete(s) for s in params])
-    if family == "torus":
-        m, n = params
-        return product_spec([cycle(m), cycle(n)])
-    return None
 
 
 def _closed_form_report(family: str, params: list[int], descriptor: str) -> CentralityReport:
@@ -166,7 +149,8 @@ def cmd_bc(args: argparse.Namespace) -> int:
             report = _closed_form_report(family, params, descriptor)
         else:
             report = betweenness(generate(family, *params), method=method, descriptor=descriptor)
-        spec = _family_spec(family, params)
+        factors = family_factors(family, *params)
+        spec = None if factors is None else product_spec(factors)
     else:
         if method in ("factorized", "closed-form"):
             raise _UsageError(f"--method {method} does not apply to a plain edge-list file")

@@ -9,18 +9,11 @@ can be checked rather than assumed.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .graph import GraphError
 
 HALF = Fraction(1, 2)
-
-
-def _product(values) -> int:
-    result = 1
-    for v in values:
-        result *= v
-    return result
 
 
 def hamming_bc(sizes) -> Fraction:
@@ -36,7 +29,7 @@ def hamming_bc(sizes) -> Fraction:
         raise GraphError(f"hamming factor sizes must be at least 2, got {sizes}")
     r = len(sizes)
     inverse_sum = sum(Fraction(1, n) for n in sizes)
-    return Fraction(_product(sizes), 2) * (r - 1 - inverse_sum) + HALF
+    return Fraction(prod(sizes), 2) * (r - 1 - inverse_sum) + HALF
 
 
 def uniform_kn_bc(n: int, r: int) -> Fraction:
@@ -77,7 +70,7 @@ def even_cycles_bc(sizes) -> Fraction:
     least 4 (a 2-cycle is not a simple graph).
     """
     sizes = _check_cycle_sizes(sizes, "even")
-    p = _product(sizes)
+    p = prod(sizes)
     return Fraction(p * sum(sizes) - 4 * (p - 1), 8)
 
 
@@ -87,7 +80,7 @@ def even_cycles_bc_alt(sizes) -> Fraction:
     sizes = _check_cycle_sizes(sizes, "even")
     halves = [n // 2 for n in sizes]
     r = len(sizes)
-    return Fraction(2) ** (r - 2) * _product(halves) * (sum(halves) - 2) + HALF
+    return Fraction(2) ** (r - 2) * prod(halves) * (sum(halves) - 2) + HALF
 
 
 def odd_cycles_bc(sizes) -> Fraction:
@@ -96,7 +89,7 @@ def odd_cycles_bc(sizes) -> Fraction:
     ``(prod(n) * sum(n - 1/n) - 4 (prod(n) - 1)) / 8`` with every length odd.
     """
     sizes = _check_cycle_sizes(sizes, "odd")
-    p = _product(sizes)
+    p = prod(sizes)
     defect_sum = sum(Fraction(n * n - 1, n) for n in sizes)
     return (p * defect_sum - 4 * (p - 1)) / 8
 
@@ -205,7 +198,7 @@ def cycle_product_wiener(sizes, parity: str) -> int:
     if parity not in ("even", "odd"):
         raise GraphError(f"parity must be 'even' or 'odd', got {parity!r}")
     sizes = _check_cycle_sizes(sizes, parity)
-    p = _product(sizes)
+    p = prod(sizes)
     if parity == "even":
         value = Fraction(p * p * sum(sizes), 8)
     else:

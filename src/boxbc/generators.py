@@ -36,23 +36,19 @@ def star(leaves: int) -> Graph:
 
 
 def grid(m: int, n: int) -> Graph:
-    check_family("grid", m, n)
-    return cartesian_product([path(m), path(n)]).graph
+    return cartesian_product(family_factors("grid", m, n)).graph
 
 
 def hypercube(r: int) -> Graph:
-    check_family("hypercube", r)
-    return cartesian_product([complete(2)] * r).graph
+    return cartesian_product(family_factors("hypercube", r)).graph
 
 
 def hamming(*sizes: int) -> Graph:
-    check_family("hamming", *sizes)
-    return cartesian_product([complete(s) for s in sizes]).graph
+    return cartesian_product(family_factors("hamming", *sizes)).graph
 
 
 def torus(m: int, n: int) -> Graph:
-    check_family("torus", m, n)
-    return cartesian_product([cycle(m), cycle(n)]).graph
+    return cartesian_product(family_factors("torus", m, n)).graph
 
 
 # family -> (builder, parameter count, least value of every parameter, range
@@ -87,6 +83,23 @@ def check_family(family: str, *params: int) -> None:
         raise GraphError(f"family {family!r} takes {arity} parameter(s), got {len(params)}")
     if any(p < least for p in params):
         raise GraphError(message.format(*params) if arity else message.format(params))
+
+
+# product family -> its factors in coordinate order: the only copy, read by
+# the builders above, ``bc --labels coords`` and the bench ladders
+_FACTORS: dict[str, Callable[..., list[Graph]]] = {
+    "grid": lambda m, n: [path(m), path(n)],
+    "hypercube": lambda r: [complete(2)] * r,
+    "hamming": lambda *sizes: [complete(s) for s in sizes],
+    "torus": lambda m, n: [cycle(m), cycle(n)],
+}
+
+
+def family_factors(family: str, *params: int) -> list[Graph] | None:
+    """Factors of a family instance in coordinate order; None unless a product."""
+    check_family(family, *params)
+    build = _FACTORS.get(family)
+    return None if build is None else build(*params)
 
 
 def generate(family: str, *params: int) -> Graph:

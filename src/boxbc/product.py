@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb, lcm
+from math import comb, lcm, prod
 from typing import Iterable, Sequence
 
 from .centrality import wiener
@@ -65,10 +65,7 @@ class ProductSpec:
 
     @cached_property
     def vertex_count(self) -> int:
-        count = 1
-        for r in self.radices:
-            count *= r
-        return count
+        return prod(self.radices)
 
     def encode(self, coords: Sequence[int]) -> int:
         if len(coords) != len(self.factors):
@@ -326,11 +323,7 @@ def product_wiener(factors: Iterable[Graph]) -> int:
     """
     spec = product_spec(factors)
     radices = spec.radices
-    total = 0
-    for i, factor in enumerate(spec.factors):
-        scale = 1
-        for j, r in enumerate(radices):
-            if j != i:
-                scale *= r * r
-        total += wiener(factor) * scale
-    return total
+    return sum(
+        wiener(factor) * prod(r * r for j, r in enumerate(radices) if j != i)
+        for i, factor in enumerate(spec.factors)
+    )

@@ -1,236 +1,35 @@
-"""Acceptance gate: eight end-to-end criteria, each printing PASS or FAIL.
+"""Acceptance gate: every ``boxbc verify`` check as its own test.
 
-The criteria pin exact rational values (zero tolerance) and cross-validate
-every computation route on a fixed basket of product instances: all two-factor
-products over {P_2..P_5, C_3..C_6, K_2..K_5, star_3} with at most 36 vertices,
-plus Q_3, Q_4 and K_2 x K_2 x K_3.  Runtime budgets are asserted where stated.
+One module-scoped ``run_verify("all")`` feeds one test per entry of
+``verify._CHECKS``, so each check body runs once and a failing test shows
+that check's counterexample; ``--durations`` lists that run as the setup of
+the first test.  A check's seconds include any memoized product or table it
+is the first to build (see ``run_verify``).
 """
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
-from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations_with_replacement
-from math import comb, factorial
+import pytest
 
-from boxbc import (
-    ProductGraph,
-    all_pairs_tables,
-    betweenness,
-    cartesian_product,
-    complete,
-    cycle,
-    cycle_product_wiener,
-    cycle_wiener,
-    debruijn_count,
-    diameter,
-    factorized_betweenness_all,
-    format_edge_list,
-    grid,
-    grid_bc,
-    hamming,
-    hamming_bc,
-    hypercube,
-    hypercube_bc,
-    interval,
-    interval_membership,
-    odd_cycles_bc,
-    parse_edge_list,
-    path,
-    product_distance,
-    product_sigma,
-    product_spec,
-    product_wiener,
-    star,
-    torus,
-    torus_bc,
-    wiener,
-)
-from boxbc.cli import main as cli_main
+from boxbc.verify import _CHECKS, run_verify
+
+SUITE_BUDGET = 300.0
+BUDGETS = {"betweenness-agreement": 60.0, "grid": 30.0, "anchors": 10.0, "hypercube": 10.0, "torus": 10.0}
 
 
-@contextmanager
-def _criterion(capsys, number: int, label: str, budget: float | None = None):
-    start = time.perf_counter()
-    try:
-        yield
-        elapsed = time.perf_counter() - start
-        if budget is not None:
-            assert elapsed < budget, f"took {elapsed:.1f}s, budget {budget:.0f}s"
-    except BaseException as exc:
-        with capsys.disabled():
-            print(f"FAIL criterion-{number}: {label} ({type(exc).__name__})")
-        raise
-    with capsys.disabled():
-        print(f"PASS criterion-{number}: {label} ({elapsed:.1f}s)")
+@pytest.fixture(scope="module")
+def results():
+    return {f"{r.scope}/{r.name}": r for r in run_verify("all")}
 
 
-@lru_cache(maxsize=1)
-def _product_basket() -> tuple[tuple[str, tuple, ProductGraph], ...]:
-    entries = [(f"P_{n}", path(n)) for n in range(2, 6)]
-    entries += [(f"C_{n}", cycle(n)) for n in range(3, 7)]
-    entries += [(f"K_{n}", complete(n)) for n in range(2, 6)]
-    entries += [("star_3", star(3))]
-    seen = set()
-    picked = []
-    for (la, ga), (lb, gb) in combinations_with_replacement(entries, 2):
-        if ga.vertex_count * gb.vertex_count > 36 or (ga, gb) in seen:
-            continue  # P_2 = K_2 and C_3 = K_3 collapse to one representative
-        seen.add((ga, gb))
-        picked.append((f"{la} x {lb}", (ga, gb)))
-    k2, k3 = complete(2), complete(3)
-    picked.append(("Q_3", (k2, k2, k2)))
-    picked.append(("Q_4", (k2, k2, k2, k2)))
-    picked.append(("K_2 x K_2 x K_3", (k2, k2, k3)))
-    return tuple((label, factors, cartesian_product(factors)) for label, factors in picked)
+@pytest.mark.parametrize("check", [f"{scope}/{name}" for scope, name, _ in _CHECKS])
+def test_check(results, check):
+    result = results[check]
+    assert result.passed, result.detail
+    budget = BUDGETS.get(result.name, SUITE_BUDGET)
+    assert result.seconds < budget, f"took {result.seconds:.1f} s, budget {budget:.0f} s"
 
 
-def _closed_form_cases():
-    return (
-        ("Q_3", hypercube(3), hypercube_bc(3), Fraction(5, 2)),
-        ("Q_4", hypercube(4), hypercube_bc(4), Fraction(17, 2)),
-        ("H(3,4)", hamming(3, 4), hamming_bc([3, 4]), Fraction(3)),
-        ("C_3 x C_4", torus(3, 4), torus_bc(3, 4), Fraction(9, 2)),
-        ("C_4 x C_6", torus(4, 6), torus_bc(4, 6), Fraction(37, 2)),
-        ("C_5 x C_5", torus(5, 5), torus_bc(5, 5), Fraction(18)),
-        ("C_3 x C_3", torus(3, 3), odd_cycles_bc([3, 3]), Fraction(2)),
-    )
-
-
-def test_criterion_1_closed_form_exactness(capsys):
-    label = "closed forms equal accumulation at every vertex of the pinned instances"
-    with _criterion(capsys, 1, label, budget=10.0):
-        for name, g, formula, pinned in _closed_form_cases():
-            assert formula == pinned, name
-            for value in betweenness(g).values:
-                assert value == formula, name
-
-
-def test_criterion_2_method_agreement(capsys):
-    label = "definitional, accumulation and factorized vectors identical on the basket"
-    with _criterion(capsys, 2, label, budget=60.0):
-        for name, _, pg in _product_basket():
-            by_def = betweenness(pg.graph, method="definitional").values
-            by_acc = betweenness(pg.graph, method="brandes").values
-            by_fact = factorized_betweenness_all(pg.spec)
-            assert by_def == by_acc == by_fact, name
-
-
-def test_criterion_3_sum_identity(capsys):
-    label = "sum of betweenness equals W - C(n,2) on every criterion 1-2 instance"
-    with _criterion(capsys, 3, label):
-        graphs = [(name, g) for name, g, _, _ in _closed_form_cases()]
-        graphs += [(name, pg.graph) for name, _, pg in _product_basket()]
-        for name, g in graphs:
-            total = sum(betweenness(g).values)
-            assert total == wiener(g) - comb(g.vertex_count, 2), name
-
-
-def test_criterion_4_sigma_formulas(capsys):
-    label = "factorized geodesic counts match BFS; hypercube d! and lattice-path counts hold"
-    with _criterion(capsys, 4, label):
-        for name, _, pg in _product_basket():
-            coords = pg.spec.coordinates()
-            tables = all_pairs_tables(pg.graph)
-            n = pg.graph.vertex_count
-            for u in range(n):
-                su = tables[u].sigma
-                for v in range(u + 1, n):
-                    assert product_sigma(pg.spec, coords[u], coords[v]) == su[v], name
-        for r in range(1, 7):
-            tables = all_pairs_tables(hypercube(r))
-            for u, table in enumerate(tables):
-                for v in range(u + 1, len(tables)):
-                    assert table.sigma[v] == factorial(table.dist[v]), f"Q_{r}"
-        for k, n, pinned in ((2, 2, 6), (2, 3, 20), (3, 3, 1680)):
-            assert debruijn_count(k, n) == pinned
-            spec = product_spec([path(n + 1)] * k)
-            assert product_sigma(spec, (0,) * k, (n,) * k) == pinned
-
-
-def test_criterion_5_grid_formula(capsys):
-    label = "grid closed form matches accumulation at all positions for 2 <= m,n <= 7"
-    with _criterion(capsys, 5, label, budget=30.0):
-        assert grid_bc(3, 3, 2, 2) == Fraction(32, 3)
-        assert grid_bc(3, 3, 1, 1) == Fraction(4, 3)
-        for m in range(2, 8):
-            for n in range(2, 8):
-                g = grid(m, n)
-                values = betweenness(g).values
-                for a in range(1, m + 1):
-                    for b in range(1, n + 1):
-                        assert grid_bc(m, n, a, b) == values[(a - 1) * n + (b - 1)], (m, n, a, b)
-                assert sum(values) == wiener(g) - comb(m * n, 2), (m, n)
-
-
-def test_criterion_6_wiener(capsys):
-    label = "product Wiener composition, cycle values and uniform-parity forms agree"
-    with _criterion(capsys, 6, label):
-        for name, factors, pg in _product_basket():
-            assert product_wiener(factors) == wiener(pg.graph), name
-        assert cycle_wiener(4) == 8
-        assert cycle_wiener(5) == 15
-        assert cycle_wiener(7) == 42
-        assert cycle_product_wiener([4, 4], "even") == product_wiener([cycle(4), cycle(4)])
-        assert cycle_product_wiener([3, 3], "odd") == product_wiener([cycle(3), cycle(3)])
-
-
-def test_criterion_7_structural_invariants(capsys):
-    label = "distance/diameter additivity, fiber convexity and interval equivalence hold"
-    with _criterion(capsys, 7, label):
-        for name, factors, pg in _product_basket():
-            spec = pg.spec
-            coords = spec.coordinates()
-            tables = all_pairs_tables(pg.graph)
-            n = pg.graph.vertex_count
-
-            assert diameter(pg.graph) == sum(diameter(f) for f in factors), name
-
-            for u in range(n):
-                du = tables[u].dist
-                for v in range(u + 1, n):
-                    assert product_distance(spec, coords[u], coords[v]) == du[v], name
-                    dv = tables[v].dist
-                    duv = du[v]
-                    for x in range(n):
-                        member = du[x] + dv[x] == duv
-                        assert interval_membership(spec, coords[u], coords[v], coords[x]) is member, name
-
-            for axis, factor in enumerate(spec.factors):
-                stride = spec.strides[axis]
-                for base in range(n):
-                    if coords[base][axis] != 0:
-                        continue
-                    fiber = [base + w * stride for w in range(factor.vertex_count)]
-                    for i, u in enumerate(fiber):
-                        du = tables[u].dist
-                        for j in range(i + 1, len(fiber)):
-                            v = fiber[j]
-                            assert du[v] == all_pairs_tables(factor)[i].dist[j], name
-                            assert interval(pg.graph, u, v) <= set(fiber), name
-
-
-def test_criterion_8_cli(capsys):
-    label = "edge lists round-trip and verify --scope all passes every suite"
-    with _criterion(capsys, 8, label):
-        samples = (
-            path(6),
-            cycle(5),
-            complete(4),
-            star(4),
-            grid(3, 4),
-            hypercube(3),
-            hamming(2, 3),
-            torus(3, 4),
-            cartesian_product([path(3), cycle(4)]).graph,
-        )
-        for g in samples:
-            assert parse_edge_list(format_edge_list(g)) == g
-
-        start = time.perf_counter()
-        code = cli_main(["verify", "--scope", "all"])
-        elapsed = time.perf_counter() - start
-        assert code == 0
-        assert elapsed < 300.0, f"verify --scope all took {elapsed:.1f}s"
+def test_suite_budget(results):
+    total = sum(r.seconds for r in results.values())
+    assert total < SUITE_BUDGET, f"all checks took {total:.1f} s, budget {SUITE_BUDGET:.0f} s"

@@ -10,6 +10,7 @@ import pytest
 from boxbc import cycle, format_edge_list, grid, hypercube, parse_edge_list
 from boxbc.cli import main
 from boxbc.report import values_from_csv
+from boxbc.verify import CheckFailure
 
 
 def run_cli(capsys, *argv):
@@ -174,21 +175,31 @@ def test_wiener_file_and_factors(capsys, tmp_path):
     assert run_cli(capsys, "wiener", str(c4), "--factors", f"{p3},{p3}")[0] == 1
 
 
-def test_verify_scope(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--scope", "sum-identity")
-    assert code == 0
-    assert "[sum-identity] totals" in out
-    assert out.strip().endswith("1/1 checks passed")
+def test_verify_prints_check_seconds(capsys, monkeypatch):
+    def fine() -> str:
+        return "fine"
 
-
-def test_verify_prints_check_seconds(capsys):
+    checks = [("cli", "first", fine), ("core", "other", fine), ("cli", "second", fine)]
+    monkeypatch.setattr("boxbc.verify._CHECKS", checks)
     code, out, _ = run_cli(capsys, "verify", "--scope", "cli")
     lines = out.splitlines()
     assert code == 0
     assert len(lines) == 3
-    for line in lines[:-1]:
-        assert re.fullmatch(r"ok   \[cli\] [a-z-]+: .+ \(\d+\.\d\d s\)", line), line
+    for line, name in zip(lines, ("first", "second")):
+        assert re.fullmatch(rf"ok   \[cli\] {name}: fine \(\d+\.\d\d s\)", line), line
     assert lines[-1] == "2/2 checks passed"
+
+
+def test_verify_failure_exits_3(capsys, monkeypatch):
+    def broken() -> str:
+        raise CheckFailure("counterexample")
+
+    monkeypatch.setattr("boxbc.verify._CHECKS", [("cli", "broken", broken)])
+    code, out, _ = run_cli(capsys, "verify")
+    lines = out.splitlines()
+    assert code == 3
+    assert re.fullmatch(r"FAIL \[cli\] broken: counterexample \(\d+\.\d\d s\)", lines[0]), lines[0]
+    assert lines[1:] == ["0/1 checks passed"]
 
 
 def test_verify_rejects_unknown_scope(capsys):
