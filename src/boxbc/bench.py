@@ -29,10 +29,11 @@ _LADDERS = {
     "hypercube": (1, "Q_{m}", 1),
 }
 BENCH_FAMILIES = tuple(_LADDERS)
-BENCH_METHODS = ("brandes", "factorized")
 
-# Keep accidental ladder sizes from materializing something enormous.
-_MAX_BENCH_VERTICES = 100_000
+# method -> largest product, in vertices, it may be timed on.  The caps keep an
+# accidental ladder size from running for hours: Brandes works on the
+# materialized product in O(n*m), the factorized route on factor tables only.
+BENCH_METHODS = {"brandes": 5_000, "factorized": 100_000}
 
 
 @dataclass(frozen=True)
@@ -56,17 +57,27 @@ def _ladder(family: str, maximum: int) -> Iterator[tuple[str, list[Graph]]]:
 def run_bench(
     family: str,
     maximum: int,
-    methods: Sequence[str] = BENCH_METHODS,
+    methods: Sequence[str] = tuple(BENCH_METHODS),
 ) -> list[BenchRow]:
-    """Time every ladder instance with every requested method."""
+    """Time every ladder instance with every requested method.
+
+    Rungs grow with ``m``, so the ladder is built up to the first rung over a
+    requested method's cap and refused there, before any rung is timed.
+    """
+    if not methods:
+        raise GraphError(f"bench needs at least one method; expected some of {', '.join(BENCH_METHODS)}")
     for method in methods:
         if method not in BENCH_METHODS:
             raise GraphError(f"unknown bench method {method!r}; expected one of {', '.join(BENCH_METHODS)}")
-    rows = []
+    ladder = []
     for label, factors in _ladder(family, maximum):
         n = prod(g.vertex_count for g in factors)
-        if n > _MAX_BENCH_VERTICES:
-            raise GraphError(f"{label} has {n} vertices; bench instances are capped at {_MAX_BENCH_VERTICES}")
+        for method in methods:
+            if n > BENCH_METHODS[method]:
+                raise GraphError(f"{label} has {n} vertices; {method} bench instances are capped at {BENCH_METHODS[method]}")
+        ladder.append((label, factors, n))
+    rows = []
+    for label, factors, n in ladder:
         for method in methods:
             start = perf_counter()
             if method == "brandes":

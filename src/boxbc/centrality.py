@@ -3,22 +3,25 @@
 Betweenness sums pair dependencies over unordered vertex pairs, so the whole
 vector of a graph obeys ``sum(B) == W - C(n, 2)`` exactly.  Two independent
 routes are provided: the definitional triple loop over geodesic tables, and
-Brandes-style per-source accumulation carried out on exact rationals.
+Brandes-style per-source accumulation.  The accumulation runs in integers:
+per source, ``C(w) = L/sigma(w) + sum of C(y)`` over the children ``y`` of
+``w`` with ``L = lcm(sigma)``, so the dependency of ``w`` is
+``(sigma(w)*C(w) - L) / L``; the sum over sources counts each pair twice and
+is halved.  The Wiener index comes from a bit-parallel BFS from all sources
+at once and builds no distance table.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .geodesic import all_pairs_tables
 from .graph import Graph, GraphError, require_connected
 
 METHODS = ("definitional", "brandes")
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -79,45 +82,74 @@ def _definitional(g: Graph) -> tuple[Fraction, ...]:
 
 
 def _brandes(g: Graph) -> tuple[Fraction, ...]:
-    # Per-source dependency accumulation with exact rational deltas.  The
-    # source loop counts every ordered pair, hence the final halving.
+    # Brandes accumulation kept exact in integers.  With c(w) = (1 + delta(w))
+    # / sigma(w), the dependency recurrence becomes
+    #     c(w) = 1/sigma(w) + sum of c(y) over the children y of w,
+    # the children being the neighbours one level further from the source.
+    # Scaled by L = lcm(sigma) (every sigma is at least 1 on the connected
+    # graphs ``betweenness`` admits), C(w) = L/sigma(w) + sum C(y) is an
+    # integer, and delta(w) = (sigma(w)*C(w) - L) / L.  Numerators are summed
+    # per distinct L; the source loop counts every ordered pair, hence the
+    # final halving.
     n = g.vertex_count
     adjacency = g.adjacency
-    acc = [ZERO] * n
+    sums: dict[int, list[int]] = {}
     for s in range(n):
         dist = [-1] * n
         sigma = [0] * n
-        preds: list[list[int]] = [[] for _ in range(n)]
-        order: list[int] = []
+        order = [s]
         dist[s] = 0
         sigma[s] = 1
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            order.append(v)
-            dv = dist[v]
+        for v in order:
+            dv = dist[v] + 1
             sv = sigma[v]
             for w in adjacency[v]:
                 if dist[w] < 0:
-                    dist[w] = dv + 1
-                    queue.append(w)
-                if dist[w] == dv + 1:
+                    dist[w] = dv
+                    order.append(w)
+                if dist[w] == dv:
                     sigma[w] += sv
-                    preds[w].append(v)
-        delta = [ZERO] * n
-        for w in reversed(order):
-            coeff = (ONE + delta[w]) / sigma[w]
-            for v in preds[w]:
-                delta[v] += sigma[v] * coeff
-            if w != s:
-                acc[w] += delta[w]
-    return tuple(b / 2 for b in acc)
+        scale = lcm(*sigma)
+        row = sums.setdefault(scale, [0] * n)
+        scaled = [0] * n
+        for w in order[:0:-1]:
+            dw = dist[w] + 1
+            c = scale // sigma[w]
+            for y in adjacency[w]:
+                if dist[y] == dw:
+                    c += scaled[y]
+            scaled[w] = c
+            row[w] += sigma[w] * c - scale
+    return tuple(sum((Fraction(row[v], 2 * scale) for scale, row in sums.items()), ZERO) for v in range(n))
 
 
 def wiener(g: Graph) -> int:
-    """Sum of distances over all unordered vertex pairs."""
+    """Sum of distances over all unordered vertex pairs.
+
+    Bit-parallel BFS from every source at once: bit ``u`` of ``reach[v]`` is
+    set once ``v`` lies within distance ``d`` of ``u``, so level ``d`` adds
+    ``d`` for each newly set bit.  No distance table is built.
+    """
     require_connected(g)
-    return sum(sum(t.dist) for t in all_pairs_tables(g)) // 2
+    adjacency = g.adjacency
+    reach = [1 << v for v in range(len(adjacency))]
+    seen = len(reach)
+    total = 0
+    d = 0
+    while True:
+        d += 1
+        grown = []
+        for v, nbrs in enumerate(adjacency):
+            r = reach[v]
+            for w in nbrs:
+                r |= reach[w]
+            grown.append(r)
+        count = sum(r.bit_count() for r in grown)
+        if count == seen:
+            return total // 2
+        total += d * (count - seen)
+        seen = count
+        reach = grown
 
 
 def average_distance(g: Graph) -> Fraction:

@@ -223,6 +223,11 @@ def _check_geodesic_tables() -> str:
             for u, v in g.edges():
                 if abs(table.dist[u] - table.dist[v]) > 1:
                     raise CheckFailure(f"{label}: edge ({u},{v}) jumps levels from s={s}")
+        # the tables are the independent reference for the bit-parallel Wiener
+        got = wiener(g)
+        want = sum(sum(t.dist) for t in tables) // 2
+        if got != want:
+            raise CheckFailure(f"{label}: wiener {got} != total distance {want} from the BFS tables")
     return f"geodesic recurrence holds at {checked} vertices across {len(_core_instances())} graphs"
 
 

@@ -1,7 +1,8 @@
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -10,12 +11,20 @@ from boxbc import (
     CentralityReport,
     Graph,
     GraphError,
+    all_pairs_tables,
     average_distance,
     betweenness,
+    cartesian_product,
     complete,
     cycle,
+    factorized_betweenness_all,
     graph_from_edges,
+    grid,
+    hypercube,
+    hypercube_bc,
     path,
+    product_spec,
+    product_wiener,
     star,
     wiener,
 )
@@ -45,6 +54,27 @@ def test_methods_agree_everywhere(g: Graph):
     expected = enumerated_betweenness(g)
     assert betweenness(g, method="definitional").values == expected
     assert betweenness(g, method="brandes").values == expected
+
+
+def test_brandes_at_scale():
+    # Q_9: sigma reaches 9!, and every source has the same lcm(sigma)
+    assert set(betweenness(hypercube(9)).values) == {hypercube_bc(9)}
+    # not vertex transitive: sources differ in lcm(sigma), so several
+    # per-denominator sums are combined
+    for factors in ((star(3), path(4), cycle(4)), (path(15), path(15))):
+        g = cartesian_product(factors).graph
+        assert len({lcm(*t.sigma) for t in all_pairs_tables(g)}) > 1
+        assert betweenness(g).values == factorized_betweenness_all(product_spec(factors))
+
+
+def test_tiny_graphs():
+    for n, edges, expected_wiener in ((0, [], 0), (1, [], 0), (2, [(0, 1)], 1)):
+        g = graph_from_edges(n, edges)
+        for method in ("brandes", "definitional"):
+            values = betweenness(g, method=method).values
+            assert values == (0,) * n
+            assert all(type(v) is Fraction for v in values)
+        assert wiener(g) == expected_wiener
 
 
 def test_method_dispatch():
@@ -77,6 +107,19 @@ def test_wiener_values():
     assert wiener(path(4)) == 10  # sum over pairs of |i-j|
     assert wiener(cycle(4)) == 8
     assert wiener(complete(5)) == 10
+
+
+def test_wiener_builds_no_distance_table():
+    g = grid(26, 29)
+    expected = product_wiener([path(26), path(29)])
+    tracemalloc.start()
+    try:
+        got = wiener(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == expected
+    assert peak < 1 << 20, peak
 
 
 @given(connected_graphs())

@@ -231,6 +231,26 @@ def test_bench_monotone_ladder(capsys):
 def test_bench_bad_bounds(capsys):
     assert run_cli(capsys, "bench", "--family", "torus", "--max", "2")[0] == 2
     assert run_cli(capsys, "bench", "--family", "hamming", "--max", "3", "--methods", "magic")[0] == 2
+    assert run_cli(capsys, "bench", "--family", "hamming", "--max", "3", "--methods", ",")[0] == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("grid", "--max", "250"), "P_71 x P_71 has 5041 vertices; brandes bench instances are capped at 5000"),
+        (("hypercube", "--max", "40", "--methods", "factorized"),
+         "Q_17 has 131072 vertices; factorized bench instances are capped at 100000"),
+    ],
+    ids=["brandes", "factorized"],
+)
+def test_bench_caps_each_method_before_timing(capsys, monkeypatch, argv, message):
+    def untimed(*args, **kwargs):
+        pytest.fail("a rung was timed before the cap was checked")
+
+    monkeypatch.setattr("boxbc.bench.cartesian_product", untimed)
+    monkeypatch.setattr("boxbc.bench.product_spec", untimed)
+    code, out, err = run_cli(capsys, "bench", "--family", *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_missing_subcommand(capsys):
