@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .bench import BENCH_FAMILIES, BENCH_METHODS, bench_to_csv, run_bench
 from .centrality import CentralityReport, betweenness, wiener
@@ -32,7 +32,6 @@ from .generators import FAMILIES, check_family, family_factors, generate
 from .generators import complete, cycle, path  # noqa: F401
 from .graph import GraphError
 from .product import (
-    ProductSpec,
     cartesian_product,
     factorized_betweenness_all,
     product_spec,
@@ -84,29 +83,27 @@ def _family_request(values: list[str]) -> tuple[str, list[int]]:
     return family, params
 
 
+# family -> closed form: a value per vertex, or one value for every vertex.
+# Formulas are looked up at call time, so perfbench's traced wrappers see them.
+_CLOSED_FORMS: dict[str, Callable[..., Fraction | tuple[Fraction, ...]]] = {
+    "grid": lambda m, n: tuple(grid_bc(m, n, a, b) for a in range(1, m + 1) for b in range(1, n + 1)),
+    "path": lambda n: _CLOSED_FORMS["grid"](1, n),
+    "hypercube": lambda r: hypercube_bc(r),
+    "hamming": lambda *sizes: hamming_bc(sizes),
+    "torus": lambda m, n: torus_bc(m, n),
+    "cycle": lambda n: even_cycles_bc([n]) if n % 2 == 0 else odd_cycles_bc([n]),
+    "complete": lambda n: Fraction(0) if n == 1 else hamming_bc([n]),
+}
+
+
 def _closed_form_report(family: str, params: list[int], descriptor: str) -> CentralityReport:
     check_family(family, *params)
-    if family in ("grid", "path"):
-        m, n = params if family == "grid" else [1, *params]
-        values = tuple(grid_bc(m, n, a, b) for a in range(1, m + 1) for b in range(1, n + 1))
-        return CentralityReport("closed-form", descriptor, values)
-    if family == "hypercube":
-        (r,) = params
-        value = hypercube_bc(r)
-    elif family == "hamming":
-        value = hamming_bc(params)
-    elif family == "torus":
-        m, n = params
-        value = torus_bc(m, n)
-    elif family == "cycle":
-        (n,) = params
-        value = even_cycles_bc([n]) if n % 2 == 0 else odd_cycles_bc([n])
-    elif family == "complete":
-        (n,) = params
-        value = Fraction(0) if n == 1 else hamming_bc([n])
-    else:
+    if family not in _CLOSED_FORMS:
         raise GraphError(f"no closed form for family {family!r}")
-    return CentralityReport("closed-form", descriptor, (value,), uniform=True)
+    values = _CLOSED_FORMS[family](*params)
+    if isinstance(values, tuple):
+        return CentralityReport("closed-form", descriptor, values)
+    return CentralityReport("closed-form", descriptor, (values,), uniform=True)
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -126,35 +123,34 @@ def cmd_bc(args: argparse.Namespace) -> int:
     if len(given) != 1:
         raise _UsageError("give exactly one input: an edge-list file, --family, or --factors")
     method = args.method
-    spec: ProductSpec | None = None
 
-    if args.factors is not None:
+    if args.file is not None:
+        if method in ("factorized", "closed-form"):
+            raise _UsageError(f"--method {method} does not apply to a plain edge-list file")
+        descriptor, spec = args.file, None
+        materialize = lambda: load_graph(args.file)
+    elif args.factors is not None:
         if method == "closed-form":
             raise _UsageError("--method closed-form needs --family")
         paths = _split_paths(args.factors)
-        factors = [load_graph(p) for p in paths]
-        spec = product_spec(factors)
         descriptor = " x ".join(paths)
-        if method == "factorized":
-            values = factorized_betweenness_all(spec)
-            report = CentralityReport("factorized", descriptor, values)
-        else:
-            report = betweenness(cartesian_product(factors).graph, method=method, descriptor=descriptor)
-    elif args.family is not None:
-        if method == "factorized":
-            raise _UsageError("--method factorized needs --factors")
+        spec = product_spec(load_graph(p) for p in paths)
+        materialize = lambda: cartesian_product(spec.factors).graph
+    else:
         family, params = _family_request(args.family)
         descriptor = f"{family}({', '.join(map(str, params))})"
-        if method == "closed-form":
-            report = _closed_form_report(family, params, descriptor)
-        else:
-            report = betweenness(generate(family, *params), method=method, descriptor=descriptor)
         factors = family_factors(family, *params)
+        if method == "factorized" and factors is None:
+            raise _UsageError("--method factorized needs --factors or a product family")
         spec = None if factors is None else product_spec(factors)
+        materialize = lambda: generate(family, *params)
+
+    if method == "closed-form":
+        report = _closed_form_report(family, params, descriptor)
+    elif method == "factorized":
+        report = CentralityReport("factorized", descriptor, factorized_betweenness_all(spec))
     else:
-        if method in ("factorized", "closed-form"):
-            raise _UsageError(f"--method {method} does not apply to a plain edge-list file")
-        report = betweenness(load_graph(args.file), method=method, descriptor=args.file)
+        report = betweenness(materialize(), method=method, descriptor=descriptor)
 
     labels = None
     if args.labels == "coords":

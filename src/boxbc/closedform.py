@@ -12,6 +12,7 @@ from fractions import Fraction
 from math import comb, factorial, prod
 
 from .graph import GraphError
+from .product import Profile, _class_betweenness
 
 HALF = Fraction(1, 2)
 
@@ -136,47 +137,30 @@ def torus_bc_alt(m: int, n: int) -> Fraction:
 def grid_bc(m: int, n: int, a: int, b: int) -> Fraction:
     """Betweenness of the vertex at 1-indexed position ``(a, b)`` in an m x n grid.
 
-    The row and column through the vertex split the grid into four closed
-    quadrants.  Pairs spanning diagonally opposite quadrants are the only ones
-    whose geodesics can cross the vertex; summing their dependencies counts
-    the axis-collinear pairs once in each diagonal sum, so one copy of those
-    (dependency exactly 1 each) is subtracted.
+    The grid is a product of two paths: the value is one product of the
+    closed-form path profiles of positions ``(a - 1, m - a)`` and
+    ``(b - 1, n - b)``, with no graph and no BFS table.
     """
     if m < 1 or n < 1:
         raise GraphError(f"grid sides must be at least 1, got {m} x {n}")
     if not (1 <= a <= m and 1 <= b <= n):
         raise GraphError(f"position ({a}, {b}) outside grid 1..{m} x 1..{n}")
-    low_high = ((1, a, 1, b), (a, m, b, n))  # quadrants A, B
-    high_low = ((1, a, b, n), (a, m, 1, b))  # quadrants C, D
-    total = Fraction(0)
-    for u_box, v_box in (low_high, high_low):
-        total += _grid_quadrant_sum(a, b, u_box, v_box)
-    collinear = (a - 1) * (m - a) + (b - 1) * (n - b)
-    return total - collinear
+    return _class_betweenness((_path_profile(a - 1, m - a), _path_profile(b - 1, n - b)))
 
 
-def _grid_quadrant_sum(a: int, b: int, u_box, v_box) -> Fraction:
-    # In-grid geodesic count between (i, j) and (p, q) is comb(d, |i - p|)
-    # with d the rectilinear distance.  The two boxes share only (a, b),
-    # which both sides exclude, so u != v throughout.
-    ui0, ui1, uj0, uj1 = u_box
-    vi0, vi1, vj0, vj1 = v_box
-    v_cells = [
-        (p, q, comb(abs(p - a) + abs(q - b), abs(p - a)))
-        for p in range(vi0, vi1 + 1)
-        for q in range(vj0, vj1 + 1)
-        if (p, q) != (a, b)
-    ]
-    total = Fraction(0)
-    for i in range(ui0, ui1 + 1):
-        for j in range(uj0, uj1 + 1):
-            if (i, j) == (a, b):
-                continue
-            through = comb(abs(i - a) + abs(j - b), abs(i - a))
-            for p, q, to_v in v_cells:
-                sigma_uv = comb(abs(p - i) + abs(q - j), abs(p - i))
-                total += Fraction(through * to_v, sigma_uv)
-    return total
+def _path_profile(left: int, right: int) -> Profile:
+    """:func:`boxbc.product._profile` of a path vertex with ``left`` and ``right`` vertices on its sides.
+
+    A path has one geodesic per pair, so the profile is ``S(left, right) +
+    S(right, left) - 1`` with ``S(L, R) = sum_{a<=L, b<=R} C(a+b, a) x^a y^b``;
+    the pair of the vertex with itself is in both sums.
+    """
+    coefficients: dict[tuple[int, int], int] = {(0, 0): -1}
+    for low, high in ((left, right), (right, left)):
+        for a in range(low + 1):
+            for b in range(high + 1):
+                coefficients[a, b] = coefficients.get((a, b), 0) + comb(a + b, a)
+    return tuple(sorted((key, Fraction(c)) for key, c in coefficients.items()))
 
 
 def cycle_wiener(n: int) -> int:

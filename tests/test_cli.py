@@ -144,13 +144,44 @@ def test_bc_json_with_coordinate_labels(capsys):
     assert payload["values"][1] == {"vertex": "(0, 1)", "num": 2, "den": 1}
 
 
+@pytest.mark.parametrize(
+    "family",
+    [["grid", "3", "4"], ["hypercube", "4"], ["hamming", "2", "3"], ["torus", "3", "4"]],
+    ids=" ".join,
+)
+def test_bc_family_factorized_matches_brandes(capsys, family):
+    outputs = {}
+    for method in ("factorized", "brandes"):
+        code, out, err = run_cli(capsys, "bc", "--family", *family, "--method", method)
+        assert code == 0, err
+        outputs[method] = values_from_csv(out)
+    assert outputs["factorized"] == outputs["brandes"]
+
+
+def test_bc_family_factorized_coordinate_labels(capsys):
+    rows = {}
+    for method in ("factorized", "brandes"):
+        code, out, err = run_cli(capsys, "bc", "--family", "grid", "2", "3", "--method", method, "--labels", "coords")
+        assert code == 0, err
+        rows[method] = [line.rsplit(",", 1)[0] for line in out.splitlines()]
+    assert rows["factorized"] == rows["brandes"]
+    assert rows["factorized"][1:3] == ['"(0, 0)",5/6', '"(0, 1)",10/3']
+
+
 def test_bc_usage_errors(capsys, tmp_path):
     el = tmp_path / "c4.el"
     el.write_text(format_edge_list(cycle(4)))
     assert run_cli(capsys, "bc")[0] == 1
     assert run_cli(capsys, "bc", str(el), "--family", "cycle", "4")[0] == 1
-    assert run_cli(capsys, "bc", str(el), "--method", "factorized")[0] == 1
-    assert run_cli(capsys, "bc", str(el), "--method", "closed-form")[0] == 1
+    for method in ("factorized", "closed-form"):
+        message = f"usage error: --method {method} does not apply to a plain edge-list file\n"
+        assert run_cli(capsys, "bc", str(el), "--method", method) == (1, "", message)
+    assert run_cli(capsys, "bc", "--family", "cycle", "4", "--method", "factorized") == (
+        1, "", "usage error: --method factorized needs --factors or a product family\n")
+    # the factor files do not exist: the route is refused before either is read
+    missing = f"{tmp_path / 'a.el'},{tmp_path / 'b.el'}"
+    assert run_cli(capsys, "bc", "--factors", missing, "--method", "closed-form") == (
+        1, "", "usage error: --method closed-form needs --family\n")
     assert run_cli(capsys, "bc", "--family", "cycle", "4", "--labels", "coords")[0] == 1
     assert run_cli(capsys, "bc", "--family", "star", "3", "--method", "closed-form")[0] == 2
     assert run_cli(capsys, "bc", str(tmp_path / "nope.el"))[0] == 2

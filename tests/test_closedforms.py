@@ -6,6 +6,7 @@ import pytest
 
 from boxbc import (
     GraphError,
+    all_pairs_tables,
     betweenness,
     cartesian_product,
     complete,
@@ -15,6 +16,7 @@ from boxbc import (
     debruijn_count,
     even_cycles_bc,
     even_cycles_bc_alt,
+    factorized_betweenness_all,
     grid,
     grid_bc,
     hamming,
@@ -32,6 +34,8 @@ from boxbc import (
     uniform_kn_bc,
     wiener,
 )
+from boxbc.closedform import _path_profile
+from boxbc.product import _profile
 
 
 def _uniform_value(g):
@@ -144,6 +148,21 @@ def test_grid_formula():
             for a in range(1, m + 1):
                 for b in range(1, n + 1):
                     assert grid_bc(m, n, a, b) == values[(a - 1) * n + (b - 1)]
+
+
+def test_path_profile_closed_form():
+    # all 91 positions of P_1 .. P_13, each against the profile built from BFS tables
+    for k in range(1, 14):
+        tables = all_pairs_tables(path(k))
+        for x in range(k):
+            assert _path_profile(x, k - 1 - x) == _profile(tables, x), (k, x)
+
+
+def test_grid_formula_matches_factorized_route():
+    # 12 x 15 is past verify's 7 x 7 sweep; row-major order is the product's vertex-id order
+    m, n = 12, 15
+    closed = [grid_bc(m, n, a, b) for a in range(1, m + 1) for b in range(1, n + 1)]
+    assert closed == list(factorized_betweenness_all(product_spec([path(m), path(n)])))
 
 
 def test_grid_validation():
