@@ -61,9 +61,19 @@ from .product import (
     product_spec,
     product_wiener,
 )
-from .verify import SCOPES, CheckResult, run_verify
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # verify is the largest module and only ``boxbc verify`` runs it, so it
+    # loads on first use rather than with every command
+    if name in ("CheckResult", "SCOPES", "run_verify"):
+        from . import verify
+
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CentralityReport",

@@ -13,19 +13,18 @@ at once and builds no distance table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 
 from .geodesic import all_pairs_tables
 from .graph import Graph, GraphError, require_connected
+from .record import Record
 
 METHODS = ("definitional", "brandes")
 ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class CentralityReport:
+class CentralityReport(Record):
     """Per-vertex exact betweenness values plus method metadata.
 
     ``uniform`` marks closed-form results for vertex-transitive families,
@@ -35,12 +34,13 @@ class CentralityReport:
     method: str
     graph: str
     values: tuple[Fraction, ...]
-    uniform: bool = False
+    uniform: bool
 
-    def __post_init__(self) -> None:
-        if any(v < 0 for v in self.values):
+    def __init__(self, method: str, graph: str, values: tuple[Fraction, ...], uniform: bool = False) -> None:
+        super().__init__(method, graph, values, uniform)
+        if any(v < 0 for v in values):
             raise ValueError("betweenness values cannot be negative")
-        if self.uniform and len(self.values) != 1:
+        if uniform and len(values) != 1:
             raise ValueError("a uniform report carries exactly one value")
 
 

@@ -14,9 +14,9 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Sequence
 
-from .bench import BENCH_FAMILIES, BENCH_METHODS, bench_to_csv, run_bench
 from .centrality import CentralityReport, betweenness, wiener
 from .closedform import (
     even_cycles_bc,
@@ -38,7 +38,6 @@ from .product import (
     product_wiener,
 )
 from .report import report_to_csv, report_to_json
-from .verify import SCOPES, run_verify
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -57,6 +56,19 @@ class _Parser(argparse.ArgumentParser):
     # 2 for validation, so route usage problems through _UsageError instead.
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _UsageError(message)
+
+    # A subcommand whose options come from a module no other command needs
+    # (verify, bench) adds them here, when argparse selects that subcommand,
+    # so the other commands never import the module.
+    add_deferred: Callable[[argparse.ArgumentParser], None] | None = None
+
+    def parse_known_args(  # type: ignore[override]
+        self, args: Sequence[str] | None = None, namespace: argparse.Namespace | None = None
+    ) -> tuple[argparse.Namespace, list[str]]:
+        if self.add_deferred is not None:
+            add, self.add_deferred = self.add_deferred, None
+            add(self)
+        return super().parse_known_args(args, namespace)
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -83,10 +95,17 @@ def _family_request(values: list[str]) -> tuple[str, list[int]]:
     return family, params
 
 
+def _grid_closed_form(m: int, n: int) -> tuple[Fraction, ...]:
+    # positions mirrored across either middle line share a value, so grid_bc
+    # runs once per mirror class (a, b) with a <= (m + 1) / 2, b <= (n + 1) / 2
+    value = cache(lambda a, b: grid_bc(m, n, a, b))
+    return tuple(value(min(a, m + 1 - a), min(b, n + 1 - b)) for a in range(1, m + 1) for b in range(1, n + 1))
+
+
 # family -> closed form: a value per vertex, or one value for every vertex.
 # Formulas are looked up at call time, so perfbench's traced wrappers see them.
 _CLOSED_FORMS: dict[str, Callable[..., Fraction | tuple[Fraction, ...]]] = {
-    "grid": lambda m, n: tuple(grid_bc(m, n, a, b) for a in range(1, m + 1) for b in range(1, n + 1)),
+    "grid": _grid_closed_form,
     "path": lambda n: _CLOSED_FORMS["grid"](1, n),
     "hypercube": lambda r: hypercube_bc(r),
     "hamming": lambda *sizes: hamming_bc(sizes),
@@ -177,6 +196,8 @@ def cmd_wiener(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import run_verify
+
     results = run_verify(args.scope)
     failures = 0
     for r in results:
@@ -188,10 +209,27 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    from .bench import bench_to_csv, run_bench
+
     methods = [m for m in args.methods.split(",") if m]
     rows = run_bench(args.family, args.max, methods)
     _emit(bench_to_csv(rows), args.output)
     return EXIT_OK
+
+
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
+    from .verify import SCOPES
+
+    p.add_argument("--scope", choices=SCOPES, default="all")
+
+
+def _bench_arguments(p: argparse.ArgumentParser) -> None:
+    from .bench import BENCH_FAMILIES, BENCH_METHODS
+
+    p.add_argument("--family", choices=BENCH_FAMILIES, required=True)
+    p.add_argument("--max", type=int, required=True, help="largest factor size or dimension")
+    p.add_argument("--methods", default=",".join(BENCH_METHODS), help="comma-separated method list")
+    p.add_argument("-o", "--output", help="output path (default stdout)")
 
 
 def _build_parser() -> _Parser:
@@ -227,14 +265,11 @@ def _build_parser() -> _Parser:
     p.set_defaults(handler=cmd_wiener)
 
     p = sub.add_parser("verify", help="run the cross-validation suites")
-    p.add_argument("--scope", choices=SCOPES, default="all")
+    p.add_deferred = _verify_arguments
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("bench", help="time factorized against materialized accumulation")
-    p.add_argument("--family", choices=BENCH_FAMILIES, required=True)
-    p.add_argument("--max", type=int, required=True, help="largest factor size or dimension")
-    p.add_argument("--methods", default=",".join(BENCH_METHODS), help="comma-separated method list")
-    p.add_argument("-o", "--output", help="output path (default stdout)")
+    p.add_deferred = _bench_arguments
     p.set_defaults(handler=cmd_bench)
 
     return parser

@@ -8,14 +8,13 @@ Python integers, so they stay exact even where they grow factorially.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph import DisconnectedGraphError, Graph, GraphError, require_connected
+from .record import Record
 
 
-@dataclass(frozen=True)
-class GeodesicTable:
+class GeodesicTable(Record):
     """Distances and geodesic counts from ``source``.
 
     ``dist[v]`` is -1 and ``sigma[v]`` is 0 for vertices unreachable from the

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator
+
+from .record import Record
 
 if TYPE_CHECKING:
     from .geodesic import GeodesicTable
@@ -19,8 +20,7 @@ class DisconnectedGraphError(GraphError):
     """An operation that needs a connected graph received a disconnected one."""
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Record):
     """Simple undirected graph on vertices ``0..n-1``.
 
     ``adjacency[v]`` is the sorted tuple of neighbours of ``v``.  Instances are

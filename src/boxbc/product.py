@@ -21,7 +21,6 @@ product needs a single polynomial product.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb, lcm, prod
@@ -30,14 +29,14 @@ from typing import Iterable, Sequence
 from .centrality import wiener
 from .geodesic import GeodesicTable, all_pairs_tables
 from .graph import Graph, GraphError, graph_from_edges, require_connected
+from .record import Record
 
 Coords = tuple[int, ...]
 Profile = tuple[tuple[tuple[int, int], Fraction], ...]
 ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class ProductSpec:
+class ProductSpec(Record):
     """Ordered factor list plus the mixed-radix labeling of the product vertices.
 
     Vertex ids are row-major: ``id = sum(v[i] * prod(radices[i+1:]))``, so the
@@ -91,8 +90,7 @@ class ProductSpec:
         return [self.decode(vid) for vid in range(self.vertex_count)]
 
 
-@dataclass(frozen=True)
-class ProductGraph:
+class ProductGraph(Record):
     """A product spec together with the materialized graph on the labeled vertices."""
 
     spec: ProductSpec

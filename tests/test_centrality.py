@@ -98,6 +98,8 @@ def test_report_validation():
         CentralityReport("brandes", "g", (Fraction(-1),))
     with pytest.raises(ValueError):
         CentralityReport("closed-form", "g", (Fraction(1), Fraction(1)), uniform=True)
+    with pytest.raises(ValueError):
+        CentralityReport(method="closed-form", graph="g", values=(), uniform=True)
     uniform = CentralityReport("closed-form", "g", (Fraction(1, 2),), uniform=True)
     assert uniform.uniform
 

@@ -4,10 +4,11 @@ import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from boxbc import cycle, format_edge_list, grid, hypercube, parse_edge_list
+from boxbc import cycle, format_edge_list, grid, grid_bc, hypercube, parse_edge_list
 from boxbc.cli import main
 from boxbc.report import values_from_csv
 from boxbc.verify import CheckFailure
@@ -296,3 +297,75 @@ def test_subprocess_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1] == "*,3/1,3"
+
+
+def test_cli_import_leaves_verify_bench_and_dataclasses_unloaded():
+    script = "\n".join([
+        "import sys",
+        "before = set(sys.modules)",
+        "import boxbc.cli",
+        "heavy = ('boxbc.verify', 'boxbc.bench', 'dataclasses', 'inspect')",
+        "print(sorted(m for m in heavy if m in sys.modules and m not in before))",
+        "import boxbc",
+        "print(boxbc.run_verify.__module__, boxbc.SCOPES[-1], boxbc.CheckResult.__name__)",
+        "from boxbc import *",
+        "print(sorted(n for n in boxbc.__all__ if n not in globals()))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "boxbc.verify all CheckResult", "[]"]
+
+
+def test_unknown_package_attribute_raises():
+    import boxbc
+
+    with pytest.raises(AttributeError, match="no_such_name"):
+        boxbc.no_such_name
+
+
+def _recorded_help() -> list:
+    # ``$ boxbc … --help`` lines, each followed by the text it printed
+    blocks = Path(__file__).with_name("cli_help.txt").read_text().split("$ boxbc")[1:]
+    heads_texts = (b.partition("\n")[::2] for b in blocks)
+    return [pytest.param(head.split(), text, id=head.strip()) for head, text in heads_texts]
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 13), reason="help recorded with the argparse layout of Python 3.10-3.12")
+@pytest.mark.parametrize("argv, expected", _recorded_help())
+def test_help_text_unchanged(capsys, monkeypatch, argv, expected):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize(
+    "argv, choices",
+    [
+        (("verify", "--scope", "bogus"), ("core", "products", "closed-forms", "sum-identity", "cli", "all")),
+        (("bench", "--family", "bogus", "--max", "3"), ("torus", "hamming", "grid", "hypercube")),
+    ],
+    ids=["verify", "bench"],
+)
+def test_invalid_choice_of_lazy_subcommand(capsys, argv, choices):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"usage error: argument {argv[1]}: invalid choice: 'bogus' (choose from ")
+    assert all(repr(c) in err for c in choices)
+
+
+def test_grid_closed_form_evaluates_each_mirror_class_once(capsys, monkeypatch):
+    import boxbc.cli as cli
+
+    calls = []
+
+    def counted(m, n, a, b):
+        calls.append((a, b))
+        return grid_bc(m, n, a, b)
+
+    monkeypatch.setattr(cli, "grid_bc", counted)
+    code, closed, _ = run_cli(capsys, "bc", "--family", "grid", "8", "5", "--method", "closed-form")
+    assert code == 0
+    assert sorted(calls) == [(a, b) for a in range(1, 5) for b in range(1, 4)]
+    assert run_cli(capsys, "bc", "--family", "grid", "8", "5", "--method", "factorized")[1] == closed
