@@ -6,135 +6,47 @@ factor through per-factor BFS tables, and a set of closed forms covers the
 classical families (Hamming graphs, hypercubes, cycle products, tori, grids).
 """
 
-from .centrality import METHODS, CentralityReport, average_distance, betweenness, wiener
-from .closedform import (
-    cycle_product_wiener,
-    cycle_wiener,
-    debruijn_count,
-    even_cycles_bc,
-    even_cycles_bc_alt,
-    grid_bc,
-    hamming_bc,
-    hypercube_bc,
-    odd_cycles_bc,
-    torus_bc,
-    torus_bc_alt,
-    uniform_kn_bc,
-)
-from .edgelist import format_edge_list, load_graph, parse_edge_list, save_graph
-from .generators import (
-    FAMILIES,
-    check_family,
-    complete,
-    cycle,
-    generate,
-    grid,
-    hamming,
-    hypercube,
-    path,
-    star,
-    torus,
-)
-from .geodesic import (
-    GeodesicTable,
-    all_pairs_tables,
-    bfs_geodesics,
-    diameter,
-    distance,
-    interval,
-    is_geodetic,
-    pair_dependency,
-    sigma,
-    sigma_through,
-)
-from .graph import DisconnectedGraphError, Graph, GraphError, graph_from_edges, is_connected
-from .product import (
-    ProductGraph,
-    ProductSpec,
-    cartesian_product,
-    factorized_betweenness,
-    factorized_betweenness_all,
-    interval_membership,
-    product_distance,
-    product_pair_dependency,
-    product_sigma,
-    product_spec,
-    product_wiener,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
+# submodule -> the public names it defines.  Each name is imported from its
+# submodule on first access, so ``import boxbc`` loads no submodule and a
+# command loads only the modules its route runs.
+_EXPORTS = {
+    "centrality": "METHODS betweenness",
+    "closedform": "cycle_product_wiener cycle_wiener debruijn_count even_cycles_bc even_cycles_bc_alt grid_bc"
+    " hamming_bc hypercube_bc odd_cycles_bc torus_bc torus_bc_alt uniform_kn_bc",
+    "edgelist": "format_edge_list load_graph parse_edge_list save_graph",
+    "generators": "FAMILIES check_family complete cycle generate grid hamming hypercube path star torus",
+    "geodesic": "GeodesicTable all_pairs_tables average_distance bfs_geodesics diameter distance interval"
+    " is_geodetic pair_dependency sigma sigma_through wiener",
+    "graph": "DisconnectedGraphError Graph GraphError graph_from_edges is_connected",
+    "product": "ProductGraph ProductSpec cartesian_product factorized_betweenness factorized_betweenness_all"
+    " interval_membership product_distance product_pair_dependency product_sigma product_spec product_wiener",
+    "report": "CentralityReport",
+    "verify": "CheckResult SCOPES run_verify",
+}
 
-def __getattr__(name: str):
-    # verify is the largest module and only ``boxbc verify`` runs it, so it
-    # loads on first use rather than with every command
-    if name in ("CheckResult", "SCOPES", "run_verify"):
-        from . import verify
 
-        return getattr(verify, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+def _bind_on_first_use(namespace: dict, exports: dict[str, str]):
+    """A module ``__getattr__`` that binds names from boxbc submodules lazily.
+
+    ``exports`` maps a submodule to the space-separated names taken from it.
+    On first access a name's submodule is imported and the name stored in
+    ``namespace``, so later lookups are plain attribute reads and a name
+    rebound on the module stays rebound.
+    """
+    sources = {name: module for module, names in exports.items() for name in names.split()}
+
+    def __getattr__(name: str):
+        if name not in sources:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        value = namespace[name] = getattr(import_module(f"{__name__}.{sources[name]}"), name)
+        return value
+
+    return __getattr__
 
 
-__all__ = [
-    "CentralityReport",
-    "CheckResult",
-    "DisconnectedGraphError",
-    "FAMILIES",
-    "GeodesicTable",
-    "Graph",
-    "GraphError",
-    "METHODS",
-    "ProductGraph",
-    "ProductSpec",
-    "SCOPES",
-    "all_pairs_tables",
-    "average_distance",
-    "betweenness",
-    "bfs_geodesics",
-    "check_family",
-    "cartesian_product",
-    "complete",
-    "cycle",
-    "cycle_product_wiener",
-    "cycle_wiener",
-    "debruijn_count",
-    "diameter",
-    "distance",
-    "even_cycles_bc",
-    "even_cycles_bc_alt",
-    "factorized_betweenness",
-    "factorized_betweenness_all",
-    "format_edge_list",
-    "generate",
-    "graph_from_edges",
-    "grid",
-    "grid_bc",
-    "hamming",
-    "hamming_bc",
-    "hypercube",
-    "hypercube_bc",
-    "interval",
-    "interval_membership",
-    "is_connected",
-    "is_geodetic",
-    "load_graph",
-    "odd_cycles_bc",
-    "pair_dependency",
-    "parse_edge_list",
-    "path",
-    "product_distance",
-    "product_pair_dependency",
-    "product_sigma",
-    "product_spec",
-    "product_wiener",
-    "run_verify",
-    "save_graph",
-    "sigma",
-    "sigma_through",
-    "star",
-    "torus",
-    "torus_bc",
-    "torus_bc_alt",
-    "uniform_kn_bc",
-    "wiener",
-]
+__getattr__ = _bind_on_first_use(globals(), _EXPORTS)
+__all__ = sorted(name for names in _EXPORTS.values() for name in names.split())

@@ -1,3 +1,4 @@
 from .cli import console_main
 
-console_main()
+if __name__ == "__main__":
+    console_main()

@@ -1,4 +1,4 @@
-"""Exact betweenness centrality, Wiener index and average distance.
+"""Exact betweenness centrality of a materialized graph.
 
 Betweenness sums pair dependencies over unordered vertex pairs, so the whole
 vector of a graph obeys ``sum(B) == W - C(n, 2)`` exactly.  Two independent
@@ -7,41 +7,24 @@ Brandes-style per-source accumulation.  The accumulation runs in integers:
 per source, ``C(w) = L/sigma(w) + sum of C(y)`` over the children ``y`` of
 ``w`` with ``L = lcm(sigma)``, so the dependency of ``w`` is
 ``(sigma(w)*C(w) - L) / L``; the sum over sources counts each pair twice and
-is halved.  The Wiener index comes from a bit-parallel BFS from all sources
-at once and builds no distance table.
+is halved.
+
+``CentralityReport`` lives in :mod:`boxbc.report`, and ``wiener`` and
+``average_distance`` in :mod:`boxbc.geodesic`; they are re-exported here, so
+a request that runs neither betweenness route never loads this module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
+from math import lcm
 
-from .geodesic import all_pairs_tables
+from .geodesic import all_pairs_tables, average_distance, wiener  # noqa: F401
 from .graph import Graph, GraphError, require_connected
-from .record import Record
+from .report import CentralityReport
 
 METHODS = ("definitional", "brandes")
 ZERO = Fraction(0)
-
-
-class CentralityReport(Record):
-    """Per-vertex exact betweenness values plus method metadata.
-
-    ``uniform`` marks closed-form results for vertex-transitive families,
-    where a single value stands for every vertex.
-    """
-
-    method: str
-    graph: str
-    values: tuple[Fraction, ...]
-    uniform: bool
-
-    def __init__(self, method: str, graph: str, values: tuple[Fraction, ...], uniform: bool = False) -> None:
-        super().__init__(method, graph, values, uniform)
-        if any(v < 0 for v in values):
-            raise ValueError("betweenness values cannot be negative")
-        if uniform and len(values) != 1:
-            raise ValueError("a uniform report carries exactly one value")
 
 
 def betweenness(g: Graph, method: str = "brandes", descriptor: str | None = None) -> CentralityReport:
@@ -121,40 +104,3 @@ def _brandes(g: Graph) -> tuple[Fraction, ...]:
             scaled[w] = c
             row[w] += sigma[w] * c - scale
     return tuple(sum((Fraction(row[v], 2 * scale) for scale, row in sums.items()), ZERO) for v in range(n))
-
-
-def wiener(g: Graph) -> int:
-    """Sum of distances over all unordered vertex pairs.
-
-    Bit-parallel BFS from every source at once: bit ``u`` of ``reach[v]`` is
-    set once ``v`` lies within distance ``d`` of ``u``, so level ``d`` adds
-    ``d`` for each newly set bit.  No distance table is built.
-    """
-    require_connected(g)
-    adjacency = g.adjacency
-    reach = [1 << v for v in range(len(adjacency))]
-    seen = len(reach)
-    total = 0
-    d = 0
-    while True:
-        d += 1
-        grown = []
-        for v, nbrs in enumerate(adjacency):
-            r = reach[v]
-            for w in nbrs:
-                r |= reach[w]
-            grown.append(r)
-        count = sum(r.bit_count() for r in grown)
-        if count == seen:
-            return total // 2
-        total += d * (count - seen)
-        seen = count
-        reach = grown
-
-
-def average_distance(g: Graph) -> Fraction:
-    """Mean pairwise distance ``W(G) / C(n, 2)``; needs at least two vertices."""
-    n = g.vertex_count
-    if n < 2:
-        raise GraphError("average distance needs at least two vertices")
-    return Fraction(wiener(g), comb(n, 2))

@@ -12,32 +12,34 @@ failure.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from fractions import Fraction
 from functools import cache
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from .centrality import CentralityReport, betweenness, wiener
-from .closedform import (
-    even_cycles_bc,
-    grid_bc,
-    hamming_bc,
-    hypercube_bc,
-    odd_cycles_bc,
-    torus_bc,
-)
-from .edgelist import format_edge_list, load_graph
-from .generators import FAMILIES, check_family, family_factors, generate
-# perfbench/traced_child.py times these builders under their ``cli`` names
-from .generators import complete, cycle, path  # noqa: F401
+from . import _bind_on_first_use
 from .graph import GraphError
-from .product import (
-    cartesian_product,
-    factorized_betweenness_all,
-    product_spec,
-    product_wiener,
-)
-from .report import report_to_csv, report_to_json
+
+if TYPE_CHECKING:
+    from .report import CentralityReport
+
+# The library names the commands call, by the module that defines them.  A
+# name is imported on first access, so a request loads only the modules its
+# route runs.  Every call goes through ``_self``, this module, so a name
+# rebound on ``cli`` (a test's patch, a tracing wrapper) is the one the route
+# runs.  No command calls path, cycle or complete; they are listed because
+# perfbench/traced_child.py wraps them.
+__getattr__ = _bind_on_first_use(globals(), {
+    "centrality": "betweenness",
+    "closedform": "even_cycles_bc grid_bc hamming_bc hypercube_bc odd_cycles_bc torus_bc",
+    "edgelist": "format_edge_list load_graph",
+    "generators": "check_family complete cycle family_factors generate path",
+    "geodesic": "wiener",
+    "product": "cartesian_product factorized_betweenness_all product_spec product_wiener",
+    "report": "CentralityReport report_to_csv report_to_json",
+})
+_self = sys.modules[__name__]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -58,7 +60,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
     # A subcommand whose options come from a module no other command needs
-    # (verify, bench) adds them here, when argparse selects that subcommand,
+    # (gen, verify, bench) adds them here, when argparse selects that subcommand,
     # so the other commands never import the module.
     add_deferred: Callable[[argparse.ArgumentParser], None] | None = None
 
@@ -98,42 +100,41 @@ def _family_request(values: list[str]) -> tuple[str, list[int]]:
 def _grid_closed_form(m: int, n: int) -> tuple[Fraction, ...]:
     # positions mirrored across either middle line share a value, so grid_bc
     # runs once per mirror class (a, b) with a <= (m + 1) / 2, b <= (n + 1) / 2
-    value = cache(lambda a, b: grid_bc(m, n, a, b))
+    value = cache(lambda a, b: _self.grid_bc(m, n, a, b))
     return tuple(value(min(a, m + 1 - a), min(b, n + 1 - b)) for a in range(1, m + 1) for b in range(1, n + 1))
 
 
-# family -> closed form: a value per vertex, or one value for every vertex.
-# Formulas are looked up at call time, so perfbench's traced wrappers see them.
+# family -> closed form: a value per vertex, or one value for every vertex
 _CLOSED_FORMS: dict[str, Callable[..., Fraction | tuple[Fraction, ...]]] = {
     "grid": _grid_closed_form,
     "path": lambda n: _CLOSED_FORMS["grid"](1, n),
-    "hypercube": lambda r: hypercube_bc(r),
-    "hamming": lambda *sizes: hamming_bc(sizes),
-    "torus": lambda m, n: torus_bc(m, n),
-    "cycle": lambda n: even_cycles_bc([n]) if n % 2 == 0 else odd_cycles_bc([n]),
-    "complete": lambda n: Fraction(0) if n == 1 else hamming_bc([n]),
+    "hypercube": lambda r: _self.hypercube_bc(r),
+    "hamming": lambda *sizes: _self.hamming_bc(sizes),
+    "torus": lambda m, n: _self.torus_bc(m, n),
+    "cycle": lambda n: _self.even_cycles_bc([n]) if n % 2 == 0 else _self.odd_cycles_bc([n]),
+    "complete": lambda n: Fraction(0) if n == 1 else _self.hamming_bc([n]),
 }
 
 
 def _closed_form_report(family: str, params: list[int], descriptor: str) -> CentralityReport:
-    check_family(family, *params)
+    _self.check_family(family, *params)
     if family not in _CLOSED_FORMS:
         raise GraphError(f"no closed form for family {family!r}")
     values = _CLOSED_FORMS[family](*params)
     if isinstance(values, tuple):
-        return CentralityReport("closed-form", descriptor, values)
-    return CentralityReport("closed-form", descriptor, (values,), uniform=True)
+        return _self.CentralityReport("closed-form", descriptor, values)
+    return _self.CentralityReport("closed-form", descriptor, (values,), uniform=True)
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
     family, params = _family_request([args.family, *args.params])
-    _emit(format_edge_list(generate(family, *params)), args.output)
+    _emit(_self.format_edge_list(_self.generate(family, *params)), args.output)
     return EXIT_OK
 
 
 def cmd_product(args: argparse.Namespace) -> int:
-    factors = [load_graph(p) for p in args.files]
-    _emit(format_edge_list(cartesian_product(factors).graph), args.output)
+    factors = [_self.load_graph(p) for p in args.files]
+    _emit(_self.format_edge_list(_self.cartesian_product(factors).graph), args.output)
     return EXIT_OK
 
 
@@ -147,29 +148,29 @@ def cmd_bc(args: argparse.Namespace) -> int:
         if method in ("factorized", "closed-form"):
             raise _UsageError(f"--method {method} does not apply to a plain edge-list file")
         descriptor, spec = args.file, None
-        materialize = lambda: load_graph(args.file)
+        materialize = lambda: _self.load_graph(args.file)
     elif args.factors is not None:
         if method == "closed-form":
             raise _UsageError("--method closed-form needs --family")
         paths = _split_paths(args.factors)
         descriptor = " x ".join(paths)
-        spec = product_spec(load_graph(p) for p in paths)
-        materialize = lambda: cartesian_product(spec.factors).graph
+        spec = _self.product_spec(_self.load_graph(p) for p in paths)
+        materialize = lambda: _self.cartesian_product(spec.factors).graph
     else:
         family, params = _family_request(args.family)
         descriptor = f"{family}({', '.join(map(str, params))})"
-        factors = family_factors(family, *params)
+        factors = _self.family_factors(family, *params)
         if method == "factorized" and factors is None:
             raise _UsageError("--method factorized needs --factors or a product family")
-        spec = None if factors is None else product_spec(factors)
-        materialize = lambda: generate(family, *params)
+        spec = None if factors is None else _self.product_spec(factors)
+        materialize = lambda: _self.generate(family, *params)
 
     if method == "closed-form":
         report = _closed_form_report(family, params, descriptor)
     elif method == "factorized":
-        report = CentralityReport("factorized", descriptor, factorized_betweenness_all(spec))
+        report = _self.CentralityReport("factorized", descriptor, _self.factorized_betweenness_all(spec))
     else:
-        report = betweenness(materialize(), method=method, descriptor=descriptor)
+        report = _self.betweenness(materialize(), method=method, descriptor=descriptor)
 
     labels = None
     if args.labels == "coords":
@@ -179,7 +180,7 @@ def cmd_bc(args: argparse.Namespace) -> int:
             raise _UsageError("a uniform report has a single '*' row; coordinate labels do not apply")
         labels = [str(c) for c in spec.coordinates()]
 
-    text = report_to_csv(report, labels) if args.format == "csv" else report_to_json(report, labels)
+    text = _self.report_to_csv(report, labels) if args.format == "csv" else _self.report_to_json(report, labels)
     _emit(text, args.output)
     return EXIT_OK
 
@@ -188,9 +189,9 @@ def cmd_wiener(args: argparse.Namespace) -> int:
     if (args.file is None) == (args.factors is None):
         raise _UsageError("give exactly one input: an edge-list file or --factors")
     if args.factors is not None:
-        value = product_wiener([load_graph(p) for p in _split_paths(args.factors)])
+        value = _self.product_wiener([_self.load_graph(p) for p in _split_paths(args.factors)])
     else:
-        value = wiener(load_graph(args.file))
+        value = _self.wiener(_self.load_graph(args.file))
     _emit(f"{value}\n", args.output)
     return EXIT_OK
 
@@ -217,6 +218,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _gen_arguments(p: argparse.ArgumentParser) -> None:
+    from .generators import FAMILIES
+
+    p.add_argument("family", help=f"one of: {', '.join(FAMILIES)}")
+    p.add_argument("params", nargs="*", help="integer family parameters")
+    p.add_argument("-o", "--output", help="output path (default stdout)")
+
+
 def _verify_arguments(p: argparse.ArgumentParser) -> None:
     from .verify import SCOPES
 
@@ -237,9 +246,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="write a family instance as an edge list")
-    p.add_argument("family", help=f"one of: {', '.join(FAMILIES)}")
-    p.add_argument("params", nargs="*", help="integer family parameters")
-    p.add_argument("-o", "--output", help="output path (default stdout)")
+    p.add_deferred = _gen_arguments
     p.set_defaults(handler=cmd_gen)
 
     p = sub.add_parser("product", help="compose edge-list files into their product")
@@ -289,4 +296,10 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    code = main()
+    # Interpreter shutdown runs full collections over every live object, a
+    # few milliseconds of a fast request.  Every output is written and closed
+    # by now, so move the heap to the permanent generation, which those
+    # collections skip; stdout is still flushed at exit.
+    gc.freeze()
+    sys.exit(code)

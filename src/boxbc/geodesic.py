@@ -2,13 +2,16 @@
 
 A :class:`GeodesicTable` stores, for one source vertex, the hop distance and
 the number of distinct shortest paths to every other vertex.  Counts are plain
-Python integers, so they stay exact even where they grow factorially.
+Python integers, so they stay exact even where they grow factorially.  The
+Wiener index comes from a bit-parallel BFS from all sources at once and
+builds no table.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
+from math import comb
 
 from .graph import DisconnectedGraphError, Graph, GraphError, require_connected
 from .record import Record
@@ -122,3 +125,40 @@ def is_geodetic(g: Graph) -> bool:
     """True when every vertex pair is joined by exactly one shortest path."""
     require_connected(g)
     return all(s == 1 for t in all_pairs_tables(g) for s in t.sigma)
+
+
+def wiener(g: Graph) -> int:
+    """Sum of distances over all unordered vertex pairs.
+
+    Bit-parallel BFS from every source at once: bit ``u`` of ``reach[v]`` is
+    set once ``v`` lies within distance ``d`` of ``u``, so level ``d`` adds
+    ``d`` for each newly set bit.  No distance table is built.
+    """
+    require_connected(g)
+    adjacency = g.adjacency
+    reach = [1 << v for v in range(len(adjacency))]
+    seen = len(reach)
+    total = 0
+    d = 0
+    while True:
+        d += 1
+        grown = []
+        for v, nbrs in enumerate(adjacency):
+            r = reach[v]
+            for w in nbrs:
+                r |= reach[w]
+            grown.append(r)
+        count = sum(r.bit_count() for r in grown)
+        if count == seen:
+            return total // 2
+        total += d * (count - seen)
+        seen = count
+        reach = grown
+
+
+def average_distance(g: Graph) -> Fraction:
+    """Mean pairwise distance ``W(G) / C(n, 2)``; needs at least two vertices."""
+    n = g.vertex_count
+    if n < 2:
+        raise GraphError("average distance needs at least two vertices")
+    return Fraction(wiener(g), comb(n, 2))

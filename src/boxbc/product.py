@@ -26,9 +26,8 @@ from functools import cached_property
 from math import comb, lcm, prod
 from typing import Iterable, Sequence
 
-from .centrality import wiener
-from .geodesic import GeodesicTable, all_pairs_tables
-from .graph import Graph, GraphError, graph_from_edges, require_connected
+from .geodesic import GeodesicTable, all_pairs_tables, wiener
+from .graph import Graph, GraphError, require_connected
 from .record import Record
 
 Coords = tuple[int, ...]
@@ -116,16 +115,20 @@ def cartesian_product(factors: Iterable[Graph]) -> ProductGraph:
     one position and that pair is an edge of the corresponding factor.
     """
     spec = product_spec(factors)
-    edges: list[tuple[int, int]] = []
-    for vid in range(spec.vertex_count):
-        coords = spec.decode(vid)
-        for i, factor in enumerate(spec.factors):
-            stride = spec.strides[i]
-            ci = coords[i]
-            for w in factor.adjacency[ci]:
-                if w > ci:
-                    edges.append((vid, vid + (w - ci) * stride))
-    return ProductGraph(spec, graph_from_edges(spec.vertex_count, edges))
+    # Offsets from a vertex to its neighbours, built from the last factor
+    # outwards.  Neighbours along factor i differ by multiples of stride i,
+    # and every later factor moves less than one stride i, so a vertex's
+    # sorted offsets are its factor-i lower neighbours, then the offsets of
+    # its suffix coordinates, then its factor-i upper neighbours.
+    offsets: list[tuple[int, ...]] = [()]
+    for factor, stride in zip(reversed(spec.factors), reversed(spec.strides)):
+        sides = [
+            (tuple((w - c) * stride for w in nbrs if w < c), tuple((w - c) * stride for w in nbrs if w > c))
+            for c, nbrs in enumerate(factor.adjacency)
+        ]
+        offsets = [lower + rest + upper for lower, upper in sides for rest in offsets]
+    adjacency = tuple(tuple(map(vid.__add__, offs)) for vid, offs in enumerate(offsets))
+    return ProductGraph(spec, Graph(adjacency))
 
 
 def _check_coords(spec: ProductSpec, coords: Sequence[int]) -> Coords:

@@ -1,4 +1,4 @@
-"""Serialization of centrality reports.
+"""Centrality reports and their serialization.
 
 CSV rows are ``vertex,betweenness,decimal`` where betweenness is the exact
 ``p/q`` string in lowest terms and decimal is a 12-significant-digit rendering
@@ -7,20 +7,40 @@ JSON carries ``{method, graph, values: [{vertex, num, den}]}``.  Uniform
 closed-form reports use ``*`` as the vertex of their single row.  Callers may
 supply their own vertex labels (coordinate tuples, say); labels containing
 commas are quoted by the CSV layer.
+
+A request writes one format, so ``csv``, ``json`` and ``decimal`` are
+imported by the functions that use them, not by every request.
 """
 
 from __future__ import annotations
 
-import csv
 import io
-import json
-from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Sequence
 
-from .centrality import CentralityReport
+from .record import Record
 
 UNIFORM_VERTEX = "*"
+
+
+class CentralityReport(Record):
+    """Per-vertex exact betweenness values plus method metadata.
+
+    ``uniform`` marks closed-form results for vertex-transitive families,
+    where a single value stands for every vertex.
+    """
+
+    method: str
+    graph: str
+    values: tuple[Fraction, ...]
+    uniform: bool
+
+    def __init__(self, method: str, graph: str, values: tuple[Fraction, ...], uniform: bool = False) -> None:
+        super().__init__(method, graph, values, uniform)
+        if any(v < 0 for v in values):
+            raise ValueError("betweenness values cannot be negative")
+        if uniform and len(values) != 1:
+            raise ValueError("a uniform report carries exactly one value")
 
 
 def fraction_str(value: Fraction) -> str:
@@ -35,6 +55,8 @@ def parse_fraction(text: str) -> Fraction:
 
 
 def decimal_str(value: Fraction, digits: int = 12) -> str:
+    from decimal import Decimal, localcontext
+
     with localcontext() as ctx:
         ctx.prec = digits
         return str(Decimal(value.numerator) / Decimal(value.denominator))
@@ -53,6 +75,8 @@ def _vertex_labels(report: CentralityReport, labels: Sequence[str] | None) -> li
 
 
 def report_to_csv(report: CentralityReport, labels: Sequence[str] | None = None) -> str:
+    import csv
+
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["vertex", "betweenness", "decimal"])
@@ -63,6 +87,8 @@ def report_to_csv(report: CentralityReport, labels: Sequence[str] | None = None)
 
 def values_from_csv(text: str) -> dict[str, Fraction]:
     """Exact values keyed by vertex label; the decimal column is ignored."""
+    import csv
+
     rows = [row for row in csv.reader(io.StringIO(text)) if row]
     if not rows or rows[0][0] != "vertex":
         raise ValueError("missing 'vertex,betweenness,decimal' header")
@@ -74,6 +100,8 @@ def values_from_csv(text: str) -> dict[str, Fraction]:
 
 
 def report_to_json(report: CentralityReport, labels: Sequence[str] | None = None) -> str:
+    import json
+
     resolved = _vertex_labels(report, labels)
     payload: dict = {
         "method": report.method,
@@ -93,6 +121,8 @@ def report_to_json(report: CentralityReport, labels: Sequence[str] | None = None
 
 
 def report_from_json(text: str) -> CentralityReport:
+    import json
+
     payload = json.loads(text)
     values = tuple(Fraction(entry["num"], entry["den"]) for entry in payload["values"])
     return CentralityReport(

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import os
+import random
 import re
 import subprocess
 import sys
@@ -8,7 +10,16 @@ from pathlib import Path
 
 import pytest
 
-from boxbc import cycle, format_edge_list, grid, grid_bc, hypercube, parse_edge_list
+from boxbc import (
+    cartesian_product,
+    cycle,
+    format_edge_list,
+    graph_from_edges,
+    grid,
+    grid_bc,
+    hypercube,
+    parse_edge_list,
+)
 from boxbc.cli import main
 from boxbc.report import values_from_csv
 from boxbc.verify import CheckFailure
@@ -369,3 +380,157 @@ def test_grid_closed_form_evaluates_each_mirror_class_once(capsys, monkeypatch):
     assert code == 0
     assert sorted(calls) == [(a, b) for a in range(1, 5) for b in range(1, 4)]
     assert run_cli(capsys, "bc", "--family", "grid", "8", "5", "--method", "factorized")[1] == closed
+
+
+def _write_factors(directory: Path) -> dict[str, str]:
+    files = {"k2": "n 2\n0 1\n", "p3": "n 3\n0 1\n1 2\n"}
+    for name, text in files.items():
+        (directory / f"{name}.el").write_text(text)
+    return {name: str(directory / f"{name}.el") for name in files}
+
+
+# watched modules a route may load; each request loads exactly the listed ones
+_ROUTE_WATCH = ("boxbc.centrality", "boxbc.closedform", "boxbc.generators", "csv", "json")
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["bc", "--factors", "{k2},{p3},{k2}", "--method", "factorized"], ["csv"]),
+        (["bc", "--factors", "{k2},{p3},{k2}", "--method", "factorized", "--format", "json"], ["json"]),
+        (["bc", "--family", "grid", "3", "4", "--method", "closed-form"],
+         ["boxbc.closedform", "boxbc.generators", "csv"]),
+    ],
+    ids=["factorized csv", "factorized json", "grid closed-form"],
+)
+def test_route_loads_only_its_modules(tmp_path, argv, loaded):
+    files = _write_factors(tmp_path)
+    script = "\n".join([
+        "import sys",
+        "from boxbc.cli import main",
+        "code = main(sys.argv[1:])",
+        f"print(code, sorted(m for m in {_ROUTE_WATCH!r} if m in sys.modules))",
+    ])
+    argv = [a.format(**files) for a in argv] + ["-o", str(tmp_path / "report")]
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"0 {loaded}\n"
+
+
+# one request per name that perfbench/traced_child.py wraps on ``cli``; it also
+# wraps path, cycle and complete, which no command calls
+_UNCALLED = {"path", "cycle", "complete"}
+_TRACED_REQUESTS = {
+    "betweenness": ("bc", "--factors", "{p3},{p3}"),
+    "wiener": ("wiener", "{p3}"),
+    "load_graph": ("wiener", "{p3}"),
+    "format_edge_list": ("gen", "cycle", "4"),
+    "generate": ("gen", "cycle", "4"),
+    "cartesian_product": ("product", "{p3}", "{k2}"),
+    "factorized_betweenness_all": ("bc", "--factors", "{p3},{k2}", "--method", "factorized"),
+    "product_wiener": ("wiener", "--factors", "{p3},{k2}"),
+    "report_to_csv": ("bc", "--family", "torus", "3", "3", "--method", "closed-form"),
+    "report_to_json": ("bc", "--factors", "{p3},{k2}", "--method", "factorized", "--format", "json"),
+    "hypercube_bc": ("bc", "--family", "hypercube", "3", "--method", "closed-form"),
+    "hamming_bc": ("bc", "--family", "hamming", "2", "3", "--method", "closed-form"),
+    "torus_bc": ("bc", "--family", "torus", "3", "4", "--method", "closed-form"),
+    "even_cycles_bc": ("bc", "--family", "cycle", "6", "--method", "closed-form"),
+    "odd_cycles_bc": ("bc", "--family", "cycle", "5", "--method", "closed-form"),
+    "grid_bc": ("bc", "--family", "grid", "3", "4", "--method", "closed-form"),
+}
+
+
+def test_traced_requests_cover_the_traced_cli_names():
+    from test_bench_hooks import _load_traced_child
+
+    layers = _load_traced_child().LAYERS
+    traced = next(names for module, names in layers.items() if module.__name__ == "boxbc.cli")
+    assert set(traced) - _UNCALLED == set(_TRACED_REQUESTS)
+
+
+@pytest.mark.parametrize("name", sorted(_TRACED_REQUESTS))
+def test_patched_cli_name_is_the_one_called(capsys, monkeypatch, tmp_path, name):
+    # tracing wrappers and test patches rebind names on ``cli``; every route
+    # must call the rebound name, not a copy bound when the module loaded
+    import boxbc.cli as cli
+
+    files = _write_factors(tmp_path)
+    argv = [a.format(**files) for a in _TRACED_REQUESTS[name]]
+    expected = run_cli(capsys, *argv)
+    assert expected[0] == 0, expected
+    original = getattr(cli, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, counted)
+    assert run_cli(capsys, *argv) == expected
+    assert calls
+
+
+def _random_connected(n: int, extra: int, seed: int):
+    rng = random.Random(seed)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < n - 1 + extra:
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    return graph_from_edges(n, sorted(edges))
+
+
+def _buffered_env() -> dict[str, str]:
+    # stdout to a pipe is block-buffered unless PYTHONUNBUFFERED is set; the
+    # exit has to flush what the buffer still holds
+    return {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
+def test_frozen_exit_writes_everything(tmp_path):
+    # console_main freezes the heap before exiting; output written to a pipe
+    # or a file must still arrive whole
+    factors = [cycle(16), _random_connected(25, 6, seed=25), cycle(16)]
+    paths = []
+    for i, g in enumerate(factors):
+        paths.append(tmp_path / f"f{i}.el")
+        paths[-1].write_text(format_edge_list(g))
+    expected = format_edge_list(cartesian_product(factors).graph).encode()
+    command = [sys.executable, "-m", "boxbc", "product", *map(str, paths)]
+    piped = subprocess.run(command, capture_output=True, env=_buffered_env())
+    assert (piped.returncode, piped.stderr) == (0, b"")
+    assert piped.stdout == expected
+    target = tmp_path / "product.el"
+    written = subprocess.run([*command, "-o", str(target)], capture_output=True, env=_buffered_env())
+    assert (written.returncode, written.stdout, written.stderr) == (0, b"", b"")
+    assert target.read_bytes() == expected
+
+
+_FAILING_VERIFY = "\n".join([
+    "import runpy, sys",
+    "import boxbc.verify as verify",
+    "def broken():",
+    "    raise verify.CheckFailure('counterexample')",
+    "verify._CHECKS = [('cli', 'broken', broken)]",
+    "runpy.run_module('boxbc', run_name='__main__', alter_sys=True)",
+])
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["bc"], 1), (["gen", "moebius", "4"], 2), (["verify"], 3)],
+    ids=["usage", "validation", "verification"],
+)
+def test_frozen_exit_keeps_exit_codes_and_stderr(capsys, monkeypatch, argv, code):
+    if code == 3:
+        def broken() -> str:
+            raise CheckFailure("counterexample")
+
+        monkeypatch.setattr("boxbc.verify._CHECKS", [("cli", "broken", broken)])
+        command = [sys.executable, "-c", _FAILING_VERIFY, *argv]
+    else:
+        command = [sys.executable, "-m", "boxbc", *argv]
+    expected_code, expected_out, expected_err = run_cli(capsys, *argv)
+    assert expected_code == code
+    proc = subprocess.run(command, capture_output=True, text=True, env=_buffered_env())
+    assert (proc.returncode, proc.stderr) == (code, expected_err)
+    # verify's lines carry timings; its last line is the tally
+    assert proc.stdout.splitlines()[-1:] == expected_out.splitlines()[-1:]

@@ -92,6 +92,22 @@ def test_product_edge_count():
     assert g.edge_count == expected
 
 
+@given(random_factors(max_product=60, max_arity=4))
+@settings(max_examples=60, deadline=None)
+def test_materialized_adjacency_matches_edge_definition(factors: list[Graph]):
+    # the definition: two coordinate vectors differing in exactly one
+    # position, where they are joined by an edge of that factor
+    spec = product_spec(factors)
+    coords = spec.coordinates()
+    edges = []
+    for u, cu in enumerate(coords):
+        for v in range(u + 1, spec.vertex_count):
+            differ = [i for i, (a, b) in enumerate(zip(cu, coords[v])) if a != b]
+            if len(differ) == 1 and coords[v][differ[0]] in factors[differ[0]].adjacency[cu[differ[0]]]:
+                edges.append((u, v))
+    assert cartesian_product(factors).graph == graph_from_edges(spec.vertex_count, edges)
+
+
 @given(small_factors())
 @settings(max_examples=30, deadline=None)
 def test_distance_and_sigma_match_materialized(factors: list[Graph]):
