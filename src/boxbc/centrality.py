@@ -1,17 +1,14 @@
 """Exact betweenness centrality of a materialized graph.
 
 Betweenness sums pair dependencies over unordered vertex pairs, so the whole
-vector of a graph obeys ``sum(B) == W - C(n, 2)`` exactly.  Two independent
-routes are provided: the definitional triple loop over geodesic tables, and
-Brandes-style per-source accumulation.  The accumulation runs in integers:
-per source, ``C(w) = L/sigma(w) + sum of C(y)`` over the children ``y`` of
-``w`` with ``L = lcm(sigma)``, so the dependency of ``w`` is
+vector of a graph obeys ``sum(B) == W - C(n, 2)`` exactly.  The two routes
+share one forward search, :func:`boxbc.graph.breadth_first`, and differ in
+accumulation: the definitional triple loop sums pair dependencies over the
+memoized geodesic tables, and Brandes-style accumulation sweeps each source's
+search backwards in integers: ``C(w) = L/sigma(w) + sum of C(y)`` over the
+children ``y`` of ``w`` with ``L = lcm(sigma)``, so the dependency of ``w`` is
 ``(sigma(w)*C(w) - L) / L``; the sum over sources counts each pair twice and
 is halved.
-
-``CentralityReport`` lives in :mod:`boxbc.report`, and ``wiener`` and
-``average_distance`` in :mod:`boxbc.geodesic`; they are re-exported here, so
-a request that runs neither betweenness route never loads this module.
 """
 
 from __future__ import annotations
@@ -19,8 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .geodesic import all_pairs_tables, average_distance, wiener  # noqa: F401
-from .graph import Graph, GraphError, require_connected
+from .geodesic import all_pairs_tables
+from .graph import Graph, GraphError, breadth_first, require_connected
 from .report import CentralityReport
 
 METHODS = ("definitional", "brandes")
@@ -78,20 +75,7 @@ def _brandes(g: Graph) -> tuple[Fraction, ...]:
     adjacency = g.adjacency
     sums: dict[int, list[int]] = {}
     for s in range(n):
-        dist = [-1] * n
-        sigma = [0] * n
-        order = [s]
-        dist[s] = 0
-        sigma[s] = 1
-        for v in order:
-            dv = dist[v] + 1
-            sv = sigma[v]
-            for w in adjacency[v]:
-                if dist[w] < 0:
-                    dist[w] = dv
-                    order.append(w)
-                if dist[w] == dv:
-                    sigma[w] += sv
+        dist, sigma, order = breadth_first(adjacency, s)
         scale = lcm(*sigma)
         row = sums.setdefault(scale, [0] * n)
         scaled = [0] * n

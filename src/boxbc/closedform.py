@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial, prod
 
+from .generators import check_family
 from .graph import GraphError
 from .product import Profile, _class_betweenness
 
@@ -24,10 +25,7 @@ def hamming_bc(sizes) -> Fraction:
     transitive, so the value is independent of the vertex.
     """
     sizes = tuple(sizes)
-    if not sizes:
-        raise GraphError("hamming betweenness needs at least one factor size")
-    if any(n < 2 for n in sizes):
-        raise GraphError(f"hamming factor sizes must be at least 2, got {sizes}")
+    check_family("hamming", *sizes)
     r = len(sizes)
     inverse_sum = sum(Fraction(1, n) for n in sizes)
     return Fraction(prod(sizes), 2) * (r - 1 - inverse_sum) + HALF
@@ -48,8 +46,7 @@ def uniform_kn_bc(n: int, r: int) -> Fraction:
 
 def hypercube_bc(r: int) -> Fraction:
     """Betweenness in the r-cube: ``(r - 2) 2^(r-2) + 1/2``."""
-    if r < 1:
-        raise GraphError(f"hypercube dimension must be at least 1, got {r}")
+    check_family("hypercube", r)
     return (r - 2) * Fraction(2) ** (r - 2) + HALF
 
 
@@ -103,8 +100,7 @@ def torus_bc(m: int, n: int) -> Fraction:
     ``(m n^2 + (m^2 - 4m - 1) n + 4) / 8``; arguments arriving as
     (even, odd) are swapped first, which commutativity of the product allows.
     """
-    if m < 3 or n < 3:
-        raise GraphError(f"torus cycle lengths must be at least 3, got {m} x {n}")
+    check_family("torus", m, n)
     if m % 2 == 0 and n % 2 == 1:
         m, n = n, m
     if m % 2 == 1 and n % 2 == 1:
@@ -122,8 +118,7 @@ def torus_bc_alt(m: int, n: int) -> Fraction:
     ``k1 k2 (k1 + k2 - 2) + 1/2``, odd/even is
     ``k1 k2 (k1 + k2 - 1) + (k2 - 1)^2 / 2``.
     """
-    if m < 3 or n < 3:
-        raise GraphError(f"torus cycle lengths must be at least 3, got {m} x {n}")
+    check_family("torus", m, n)
     if m % 2 == 0 and n % 2 == 1:
         m, n = n, m
     k1, k2 = m // 2, n // 2
@@ -141,8 +136,7 @@ def grid_bc(m: int, n: int, a: int, b: int) -> Fraction:
     closed-form path profiles of positions ``(a - 1, m - a)`` and
     ``(b - 1, n - b)``, with no graph and no BFS table.
     """
-    if m < 1 or n < 1:
-        raise GraphError(f"grid sides must be at least 1, got {m} x {n}")
+    check_family("grid", m, n)
     if not (1 <= a <= m and 1 <= b <= n):
         raise GraphError(f"position ({a}, {b}) outside grid 1..{m} x 1..{n}")
     return _class_betweenness((_path_profile(a - 1, m - a), _path_profile(b - 1, n - b)))

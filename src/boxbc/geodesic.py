@@ -9,11 +9,10 @@ builds no table.
 
 from __future__ import annotations
 
-from collections import deque
 from fractions import Fraction
 from math import comb
 
-from .graph import DisconnectedGraphError, Graph, GraphError, require_connected
+from .graph import DisconnectedGraphError, Graph, GraphError, breadth_first, require_connected
 from .record import Record
 
 
@@ -31,24 +30,7 @@ class GeodesicTable(Record):
 
 def bfs_geodesics(g: Graph, source: int) -> GeodesicTable:
     """Breadth-first search from ``source``, accumulating geodesic counts."""
-    g.check_vertex(source)
-    n = g.vertex_count
-    dist = [-1] * n
-    sigma = [0] * n
-    dist[source] = 0
-    sigma[source] = 1
-    queue = deque([source])
-    adjacency = g.adjacency
-    while queue:
-        v = queue.popleft()
-        dv = dist[v]
-        sv = sigma[v]
-        for w in adjacency[v]:
-            if dist[w] < 0:
-                dist[w] = dv + 1
-                queue.append(w)
-            if dist[w] == dv + 1:
-                sigma[w] += sv
+    dist, sigma, _ = breadth_first(g.adjacency, g.check_vertex(source))
     return GeodesicTable(source, tuple(dist), tuple(sigma))
 
 

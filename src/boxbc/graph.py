@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import deque
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -88,24 +87,35 @@ def graph_from_edges(vertex_count: int, edges: Iterable[tuple[int, int]]) -> Gra
     return Graph(tuple(tuple(sorted(s)) for s in nbrs))
 
 
+def breadth_first(adjacency: tuple[tuple[int, ...], ...], source: int) -> tuple[list[int], list[int], list[int]]:
+    """Breadth-first search from ``source``: ``(dist, sigma, order)``.
+
+    The one search that counts geodesics: ``sigma[w]`` sums ``sigma`` over the
+    neighbours of ``w`` one level nearer the source.  Unreached vertices keep
+    ``dist`` -1 and ``sigma`` 0; ``order`` lists each reached vertex once, in
+    visiting order, so ``dist`` never decreases along it.
+    """
+    dist = [-1] * len(adjacency)
+    sigma = [0] * len(adjacency)
+    dist[source] = 0
+    sigma[source] = 1
+    order = [source]
+    for v in order:
+        dv = dist[v] + 1
+        sv = sigma[v]
+        for w in adjacency[v]:
+            if dist[w] < 0:
+                dist[w] = dv
+                order.append(w)
+            if dist[w] == dv:
+                sigma[w] += sv
+    return dist, sigma, order
+
+
 def is_connected(g: Graph) -> bool:
     """True when every vertex is reachable from vertex 0 (vacuously for n <= 1)."""
     n = g.vertex_count
-    if n <= 1:
-        return True
-    seen = bytearray(n)
-    seen[0] = 1
-    queue = deque([0])
-    count = 1
-    adjacency = g.adjacency
-    while queue:
-        v = queue.popleft()
-        for w in adjacency[v]:
-            if not seen[w]:
-                seen[w] = 1
-                count += 1
-                queue.append(w)
-    return count == n
+    return n <= 1 or len(breadth_first(g.adjacency, 0)[2]) == n
 
 
 def require_connected(g: Graph) -> Graph:

@@ -17,7 +17,7 @@ from math import comb, factorial, prod
 from time import perf_counter
 from typing import Callable, Iterator
 
-from .centrality import average_distance, betweenness, wiener
+from .centrality import betweenness
 from .closedform import (
     cycle_product_wiener,
     cycle_wiener,
@@ -36,12 +36,14 @@ from .edgelist import format_edge_list, parse_edge_list
 from .generators import complete, cycle, grid, hamming, hypercube, path, star, torus
 from .geodesic import (
     all_pairs_tables,
+    average_distance,
     diameter,
     distance,
     interval,
     is_geodetic,
     pair_dependency,
     sigma,
+    wiener,
 )
 from .graph import Graph, GraphError
 from .product import (

@@ -23,6 +23,14 @@ def connected_graphs(draw, min_vertices: int = 2, max_vertices: int = 9) -> Grap
 
 
 @st.composite
+def edge_subsets(draw, min_vertices: int = 1, max_vertices: int = 9) -> Graph:
+    """Random graph whose edges are any subset of the vertex pairs, so possibly disconnected."""
+    n = draw(st.integers(min_vertices, max_vertices))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return graph_from_edges(n, [p for p in pairs if draw(st.booleans())])
+
+
+@st.composite
 def small_factors(draw, max_product: int = 40, max_arity: int = 3) -> list[Graph]:
     """Factor lists drawn from the named families, bounded product size."""
     builders = (

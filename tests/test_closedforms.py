@@ -17,6 +17,7 @@ from boxbc import (
     even_cycles_bc,
     even_cycles_bc_alt,
     factorized_betweenness_all,
+    generate,
     grid,
     grid_bc,
     hamming,
@@ -97,6 +98,26 @@ def test_cycle_product_formulas():
     for sizes in ([3], [5], [3, 3], [3, 5]):
         g = cartesian_product([cycle(n) for n in sizes]).graph
         assert odd_cycles_bc(sizes) == _uniform_value(g)
+
+
+@pytest.mark.parametrize(
+    "formula, args, family, params",
+    [
+        (hamming_bc, ([],), "hamming", ()),
+        (hamming_bc, ([3, 1],), "hamming", (3, 1)),
+        (hypercube_bc, (0,), "hypercube", (0,)),
+        (torus_bc, (2, 5), "torus", (2, 5)),
+        (torus_bc_alt, (5, 2), "torus", (5, 2)),
+        (grid_bc, (0, 3, 1, 1), "grid", (0, 3)),
+    ],
+)
+def test_closed_forms_reject_what_the_builders_reject(formula, args, family, params):
+    # one copy of the family rules: a formula says what ``generate`` says
+    with pytest.raises(GraphError) as built:
+        generate(family, *params)
+    with pytest.raises(GraphError) as evaluated:
+        formula(*args)
+    assert str(evaluated.value) == str(built.value)
 
 
 def test_cycle_parity_validation():

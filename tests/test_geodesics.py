@@ -7,6 +7,7 @@ from hypothesis import given, settings
 
 from boxbc import (
     DisconnectedGraphError,
+    GeodesicTable,
     Graph,
     GraphError,
     all_pairs_tables,
@@ -19,6 +20,7 @@ from boxbc import (
     grid,
     hypercube,
     interval,
+    is_connected,
     is_geodetic,
     pair_dependency,
     path,
@@ -26,8 +28,9 @@ from boxbc import (
     sigma_through,
     star,
 )
+from boxbc.graph import breadth_first
 from oracles import all_geodesics, enumerated_dependency, matrix_geodesics
-from strategies import connected_graphs
+from strategies import connected_graphs, edge_subsets
 
 
 @given(connected_graphs())
@@ -38,6 +41,29 @@ def test_tables_match_matrix_powers(g: Graph):
         assert table.source == s
         assert list(table.dist) == dist[s]
         assert list(table.sigma) == count[s]
+
+
+@given(edge_subsets())
+@settings(max_examples=80)
+def test_breadth_first_matches_matrix_powers(g: Graph):
+    # disconnected graphs included: unreached vertices keep -1 and 0
+    dist, count = matrix_geodesics(g)
+    n = g.vertex_count
+    for s in range(n):
+        d, sig, order = breadth_first(g.adjacency, s)
+        assert d == dist[s]
+        assert sig == count[s]
+        assert bfs_geodesics(g, s) == GeodesicTable(s, tuple(d), tuple(sig))
+        assert order[0] == s
+        assert sorted(order) == [v for v in range(n) if dist[s][v] >= 0]
+        assert all(d[a] <= d[b] for a, b in zip(order, order[1:]))
+
+
+@given(edge_subsets())
+@settings(max_examples=80)
+def test_is_connected_matches_matrix_distances(g: Graph):
+    dist, _ = matrix_geodesics(g)
+    assert is_connected(g) is all(d >= 0 for d in dist[0])
 
 
 def test_bfs_on_even_cycle():
