@@ -42,12 +42,12 @@ from .geodesic import (
     interval,
     is_geodetic,
     pair_dependency,
-    sigma,
     wiener,
 )
 from .graph import Graph, GraphError
 from .product import (
     ProductGraph,
+    ProductSpec,
     cartesian_product,
     factorized_betweenness_all,
     interval_membership,
@@ -91,12 +91,13 @@ def _check(scope: str, name: str) -> Callable[[Callable[[], str]], Callable[[], 
 def run_verify(scope: str = "all") -> list[CheckResult]:
     """Run every check in *scope* and return their results in order.
 
-    Each result's ``seconds`` is the wall time of its check body.  Checks
-    share memoized products and BFS tables, and the first check to need one
-    pays for building it, so a check's seconds depend on what ran before
-    it: in ``_CHECKS`` order ``distance-additivity`` reads about 1.5 s and
-    ``sigma-agreement`` 1.1 s over the same pairs, and run alone in the
-    opposite order the two swap roles.
+    A check that raises fails alone; an exception other than ``CheckFailure``
+    is reported by its type and message.  Each result's ``seconds`` is the
+    wall time of its check body.  Checks share memoized products and BFS
+    tables, and the first check to need one pays for building it, so a
+    check's seconds depend on what ran before it: in ``_CHECKS`` order
+    ``distance-additivity`` reads about 1.4 s and ``sigma-agreement`` 1.0 s
+    over the same pairs, and run alone in the opposite order they swap roles.
     """
     if scope not in SCOPES:
         raise GraphError(f"unknown scope {scope!r}; expected one of {', '.join(SCOPES)}")
@@ -109,6 +110,8 @@ def run_verify(scope: str = "all") -> list[CheckResult]:
             passed, detail = True, fn()
         except CheckFailure as failure:
             passed, detail = False, str(failure)
+        except Exception as error:
+            passed, detail = False, f"{type(error).__name__}: {error}"
         results.append(CheckResult(check_scope, name, passed, detail, perf_counter() - start))
     return results
 
@@ -151,11 +154,7 @@ def _product_multisets(max_vertices: int, max_arity: int) -> tuple[tuple[str, tu
 @lru_cache(maxsize=1)
 def _agreement_instances() -> tuple[tuple[str, tuple[Graph, ...]], ...]:
     k2, k3, c4 = complete(2), complete(3), cycle(4)
-    pairs = [
-        (f"{a} x {b}", (g, h))
-        for (a, g), (b, h) in combinations_with_replacement(_distinct_basket(), 2)
-        if g.vertex_count * h.vertex_count <= 36
-    ]
+    pairs = [entry for entry in _product_multisets(36, 2) if len(entry[1]) == 2]
     pairs.append(("Q_3", (k2, k2, k2)))
     pairs.append(("Q_4", (k2, k2, k2, k2)))
     pairs.append(("K_2 x K_2 x K_3", (k2, k2, k3)))
@@ -168,6 +167,18 @@ def _agreement_instances() -> tuple[tuple[str, tuple[Graph, ...]], ...]:
 @lru_cache(maxsize=None)
 def _materialize(factors: tuple[Graph, ...]) -> ProductGraph:
     return cartesian_product(factors)
+
+
+def _product_pairs(max_vertices: int, max_arity: int) -> Iterator[tuple[str, ProductSpec, list, tuple, int, int]]:
+    """``(label, spec, coords, tables, u, v)`` for each pair ``u < v`` of each materialized product."""
+    for label, factors in _product_multisets(max_vertices, max_arity):
+        pg = _materialize(factors)
+        coords = pg.spec.coordinates()
+        tables = all_pairs_tables(pg.graph)
+        n = len(coords)
+        for u in range(n):
+            for v in range(u + 1, n):
+                yield label, pg.spec, coords, tables, u, v
 
 
 def _size_multisets(min_size: int, max_product: int, step: int = 1) -> Iterator[tuple[int, ...]]:
@@ -330,85 +341,62 @@ def _check_labeling_roundtrip() -> str:
 @_check("products", "distance-additivity")
 def _check_distance_additivity() -> str:
     pairs = 0
-    for label, factors in _product_multisets(64, 6):
-        pg = _materialize(factors)
-        coords = pg.spec.coordinates()
-        n = pg.graph.vertex_count
-        for u in range(n):
-            for v in range(u + 1, n):
-                want = distance(pg.graph, u, v)
-                got = product_distance(pg.spec, coords[u], coords[v])
-                if got != want:
-                    raise CheckFailure(f"{label}: d({coords[u]},{coords[v]}) = {got} != {want}")
-                pairs += 1
+    for label, spec, coords, tables, u, v in _product_pairs(64, 6):
+        want = tables[u].dist[v]
+        got = product_distance(spec, coords[u], coords[v])
+        if got != want:
+            raise CheckFailure(f"{label}: d({coords[u]},{coords[v]}) = {got} != {want}")
+        pairs += 1
     return f"coordinate distances match materialized distances on {pairs} pairs"
 
 
 @_check("products", "sigma-agreement")
 def _check_sigma_agreement() -> str:
     pairs = 0
-    for label, factors in _product_multisets(64, 6):
-        pg = _materialize(factors)
-        coords = pg.spec.coordinates()
-        n = pg.graph.vertex_count
-        for u in range(n):
-            for v in range(u + 1, n):
-                want = sigma(pg.graph, u, v)
-                got = product_sigma(pg.spec, coords[u], coords[v])
-                if got != want:
-                    raise CheckFailure(
-                        f"{label}: sigma({coords[u]},{coords[v]}) = {got} != {want}"
-                    )
-                pairs += 1
+    for label, spec, coords, tables, u, v in _product_pairs(64, 6):
+        want = tables[u].sigma[v]
+        got = product_sigma(spec, coords[u], coords[v])
+        if got != want:
+            raise CheckFailure(f"{label}: sigma({coords[u]},{coords[v]}) = {got} != {want}")
+        pairs += 1
     return f"factorized geodesic counts match BFS counts on {pairs} pairs"
 
 
 @_check("products", "dependency-agreement")
 def _check_dependency_agreement() -> str:
     triples = 0
-    for label, factors in _product_multisets(36, 5):
-        pg = _materialize(factors)
-        coords = pg.spec.coordinates()
-        n = pg.graph.vertex_count
-        for u in range(n):
-            for v in range(u + 1, n):
-                for x in range(n):
-                    if x in (u, v):
-                        continue
-                    got = product_pair_dependency(pg.spec, coords[u], coords[v], coords[x])
-                    want = pair_dependency(pg.graph, u, v, x)
-                    if got != want:
-                        raise CheckFailure(
-                            f"{label}: delta({coords[u]},{coords[v]}|{coords[x]})"
-                            f" = {got} != {want}"
-                        )
-                    triples += 1
+    for label, spec, coords, tables, u, v in _product_pairs(36, 5):
+        tu, tv = tables[u], tables[v]
+        duv, suv = tu.dist[v], tu.sigma[v]
+        for x in range(len(coords)):
+            if x in (u, v):
+                continue
+            got = product_pair_dependency(spec, coords[u], coords[v], coords[x])
+            through = tu.sigma[x] * tv.sigma[x] if tu.dist[x] + tv.dist[x] == duv else 0
+            if got.numerator * suv != through * got.denominator:
+                raise CheckFailure(
+                    f"{label}: delta({coords[u]},{coords[v]}|{coords[x]})"
+                    f" = {got} != {Fraction(through, suv)}"
+                )
+            triples += 1
     return f"factorized dependencies match materialized ones on {triples} triples"
 
 
 @_check("products", "interval-characterization")
 def _check_interval_characterization() -> str:
     triples = 0
-    for label, factors in _product_multisets(36, 5):
-        pg = _materialize(factors)
-        spec = pg.spec
-        coords = spec.coordinates()
-        tables = all_pairs_tables(pg.graph)
-        n = pg.graph.vertex_count
-        for u in range(n):
-            du = tables[u].dist
-            for v in range(u + 1, n):
-                duv = du[v]
-                dv = tables[v].dist
-                for x in range(n):
-                    want = du[x] + dv[x] == duv
-                    got = interval_membership(spec, coords[u], coords[v], coords[x])
-                    if got is not want:
-                        raise CheckFailure(
-                            f"{label}: membership of {coords[x]} between"
-                            f" {coords[u]} and {coords[v]}: {got} != {want}"
-                        )
-                    triples += 1
+    for label, spec, coords, tables, u, v in _product_pairs(36, 5):
+        du, dv = tables[u].dist, tables[v].dist
+        duv = du[v]
+        for x in range(len(coords)):
+            want = du[x] + dv[x] == duv
+            got = interval_membership(spec, coords[u], coords[v], coords[x])
+            if got is not want:
+                raise CheckFailure(
+                    f"{label}: membership of {coords[x]} between"
+                    f" {coords[u]} and {coords[v]}: {got} != {want}"
+                )
+            triples += 1
     return f"per-factor interval test matches the distance test on {triples} triples"
 
 

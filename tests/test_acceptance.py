@@ -5,13 +5,20 @@ One module-scoped ``run_verify("all")`` feeds one test per entry of
 that check's counterexample; ``--durations`` lists that run as the setup of
 the first test.  A check's seconds include any memoized product or table it
 is the first to build (see ``run_verify``).
+
+The remaining tests guard the harness itself: the product sweeps keep their
+instance counts and catch a single wrong value of the function under test,
+and one raising check fails alone.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
-from boxbc.verify import _CHECKS, run_verify
+from boxbc import DisconnectedGraphError, cli, verify
+from boxbc.verify import _CHECKS, CheckFailure, run_verify
 
 SUITE_BUDGET = 300.0
 BUDGETS = {"betweenness-agreement": 60.0, "grid": 30.0, "anchors": 10.0, "hypercube": 10.0, "torus": 10.0}
@@ -33,3 +40,62 @@ def test_check(results, check):
 def test_suite_budget(results):
     total = sum(r.seconds for r in results.values())
     assert total < SUITE_BUDGET, f"all checks took {total:.1f} s, budget {SUITE_BUDGET:.0f} s"
+
+
+SWEEP_DETAILS = {
+    "products/distance-additivity": "coordinate distances match materialized distances on 243732 pairs",
+    "products/sigma-agreement": "factorized geodesic counts match BFS counts on 243732 pairs",
+    "products/dependency-agreement": "factorized dependencies match materialized ones on 993162 triples",
+    "products/interval-characterization": "per-factor interval test matches the distance test on 1067772 triples",
+}
+
+
+@pytest.mark.parametrize("check", SWEEP_DETAILS)
+def test_product_sweeps_keep_their_instances(results, check):
+    assert results[check].detail == SWEEP_DETAILS[check]
+
+
+# (check, patched name, coordinates where the patch is wrong, wrong value, expected detail);
+# the first products swept are P_2, then P_3 in the triple checks
+FAULTS = [
+    ("distance-additivity", "product_distance", ((0,), (1,)), 2, "P_2: d((0,),(1,)) = 2 != 1"),
+    ("sigma-agreement", "product_sigma", ((0,), (1,)), 2, "P_2: sigma((0,),(1,)) = 2 != 1"),
+    (
+        "dependency-agreement", "product_pair_dependency", ((0,), (2,), (1,)), Fraction(1, 2),
+        "P_3: delta((0,),(2,)|(1,)) = 1/2 != 1",
+    ),
+    (
+        "dependency-agreement", "product_pair_dependency", ((0,), (1,), (2,)), Fraction(1, 2),
+        "P_3: delta((0,),(1,)|(2,)) = 1/2 != 0",
+    ),
+    (
+        "interval-characterization", "interval_membership", ((0,), (2,), (1,)), False,
+        "P_3: membership of (1,) between (0,) and (2,): False != True",
+    ),
+]
+
+
+@pytest.mark.parametrize("check, name, wrong_at, wrong, detail", FAULTS)
+def test_product_sweeps_catch_a_single_wrong_value(monkeypatch, check, name, wrong_at, wrong, detail):
+    original = getattr(verify, name)
+    monkeypatch.setattr(verify, name, lambda spec, *coords: wrong if coords == wrong_at else original(spec, *coords))
+    body = next(fn for _, n, fn in _CHECKS if n == check)
+    with pytest.raises(CheckFailure) as failure:
+        body()
+    assert str(failure.value) == detail
+
+
+def test_a_raising_check_fails_alone(monkeypatch, capsys):
+    def broken():
+        raise DisconnectedGraphError("vertices 0 and 3 are not connected")
+
+    checks = [("core", "before", lambda: "fine"), ("core", "broken", broken), ("cli", "after", lambda: "fine")]
+    monkeypatch.setattr(verify, "_CHECKS", checks)
+    detail = "DisconnectedGraphError: vertices 0 and 3 are not connected"
+    got = [(r.name, r.passed, r.detail) for r in run_verify("all")]
+    assert got == [("before", True, "fine"), ("broken", False, detail), ("after", True, "fine")]
+    assert cli.main(["verify"]) == cli.EXIT_VERIFY == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].startswith(f"FAIL [core] broken: {detail} (")
+    assert lines[2].startswith("ok   [cli] after: fine (")
+    assert lines[3] == "2/3 checks passed"

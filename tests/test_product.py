@@ -154,6 +154,18 @@ def test_dependency_matches_enumeration(factors: list[Graph]):
                 assert got == enumerated_dependency(pg.graph, u, v, x)
 
 
+@given(small_factors(max_product=24))
+@settings(max_examples=20, deadline=None)
+def test_dependencies_of_a_pair_sum_to_its_distance_minus_one(factors: list[Graph]):
+    # each u-v geodesic has d(u,v) - 1 interior vertices; no product is materialized
+    spec = product_spec(factors)
+    coords = spec.coordinates()
+    for i, u in enumerate(coords):
+        for v in coords[i + 1:]:
+            total = sum(product_pair_dependency(spec, u, v, x) for x in coords)
+            assert total == product_distance(spec, u, v) - 1
+
+
 def test_dependency_endpoints_and_validation():
     spec = product_spec([path(3), path(3)])
     assert product_pair_dependency(spec, (0, 0), (2, 2), (0, 0)) == 0
