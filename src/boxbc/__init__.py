@@ -19,9 +19,9 @@ _EXPORTS = {
     " hamming_bc hypercube_bc odd_cycles_bc torus_bc torus_bc_alt uniform_kn_bc",
     "edgelist": "format_edge_list load_graph parse_edge_list save_graph",
     "generators": "FAMILIES check_family complete cycle generate grid hamming hypercube path star torus",
-    "geodesic": "GeodesicTable all_pairs_tables average_distance bfs_geodesics diameter distance interval"
-    " is_geodetic pair_dependency sigma sigma_through wiener",
-    "graph": "DisconnectedGraphError Graph GraphError graph_from_edges is_connected",
+    "graph": "DisconnectedGraphError GeodesicTable Graph GraphError all_pairs_tables average_distance"
+    " bfs_geodesics diameter distance graph_from_edges interval is_connected is_geodetic pair_dependency"
+    " sigma sigma_through wiener",
     "product": "ProductGraph ProductSpec cartesian_product factorized_betweenness factorized_betweenness_all"
     " interval_membership product_distance product_pair_dependency product_sigma product_spec product_wiener",
     "report": "CentralityReport",

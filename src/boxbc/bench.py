@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from math import prod
 from time import perf_counter
 from typing import Iterator, Sequence
@@ -19,6 +18,7 @@ from .centrality import betweenness
 from .generators import family_factors
 from .graph import Graph, GraphError
 from .product import cartesian_product, factorized_betweenness_all, product_spec
+from .record import Record
 
 # family -> (least ladder size, instance label, parameter count); rung m is
 # the family instance whose parameters all equal m
@@ -36,8 +36,7 @@ BENCH_FAMILIES = tuple(_LADDERS)
 BENCH_METHODS = {"brandes": 5_000, "factorized": 100_000}
 
 
-@dataclass(frozen=True)
-class BenchRow:
+class BenchRow(Record):
     instance: str
     n: int
     method: str

@@ -16,8 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .geodesic import all_pairs_tables
-from .graph import Graph, GraphError, breadth_first, require_connected
+from .graph import Graph, GraphError, all_pairs_tables, breadth_first, require_connected
 from .report import CentralityReport
 
 METHODS = ("definitional", "brandes")

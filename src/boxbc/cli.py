@@ -35,7 +35,7 @@ __getattr__ = _bind_on_first_use(globals(), {
     "closedform": "even_cycles_bc grid_bc hamming_bc hypercube_bc odd_cycles_bc torus_bc",
     "edgelist": "format_edge_list load_graph",
     "generators": "check_family complete cycle family_factors generate path",
-    "geodesic": "wiener",
+    "graph": "wiener",
     "product": "cartesian_product factorized_betweenness_all product_spec product_wiener",
     "report": "CentralityReport report_to_csv report_to_json",
 })

@@ -26,8 +26,7 @@ from functools import cached_property
 from math import comb, lcm, prod
 from typing import Iterable, Sequence
 
-from .geodesic import GeodesicTable, all_pairs_tables, wiener
-from .graph import Graph, GraphError, require_connected
+from .graph import GeodesicTable, Graph, GraphError, all_pairs_tables, is_vertex_id, require_connected, wiener
 from .record import Record
 
 Coords = tuple[int, ...]
@@ -70,13 +69,13 @@ class ProductSpec(Record):
             raise GraphError(f"expected {len(self.factors)} coordinates, got {len(coords)}")
         vid = 0
         for c, radix, stride in zip(coords, self.radices, self.strides):
-            if not 0 <= c < radix:
+            if not is_vertex_id(c, radix):
                 raise GraphError(f"coordinate {c} out of range 0..{radix - 1}")
             vid += c * stride
         return vid
 
     def decode(self, vid: int) -> Coords:
-        if not 0 <= vid < self.vertex_count:
+        if not is_vertex_id(vid, self.vertex_count):
             raise GraphError(f"vertex id {vid} out of range 0..{self.vertex_count - 1}")
         coords = []
         for radix in reversed(self.radices):

@@ -9,7 +9,6 @@ scope, or all of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -34,7 +33,9 @@ from .closedform import (
 )
 from .edgelist import format_edge_list, parse_edge_list
 from .generators import complete, cycle, grid, hamming, hypercube, path, star, torus
-from .geodesic import (
+from .graph import (
+    Graph,
+    GraphError,
     all_pairs_tables,
     average_distance,
     diameter,
@@ -44,7 +45,6 @@ from .geodesic import (
     pair_dependency,
     wiener,
 )
-from .graph import Graph, GraphError
 from .product import (
     ProductGraph,
     ProductSpec,
@@ -57,13 +57,13 @@ from .product import (
     product_spec,
     product_wiener,
 )
+from .record import Record
 from .report import report_from_json, report_to_csv, report_to_json, values_from_csv
 
 SCOPES = ("core", "products", "closed-forms", "sum-identity", "cli", "all")
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     """Outcome of one named check within a scope."""
 
     scope: str

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import json
 import os
 import random
@@ -332,6 +333,53 @@ def test_unknown_package_attribute_raises():
 
     with pytest.raises(AttributeError, match="no_such_name"):
         boxbc.no_such_name
+
+
+PUBLIC_NAMES = """
+    CentralityReport CheckResult DisconnectedGraphError FAMILIES GeodesicTable Graph GraphError METHODS
+    ProductGraph ProductSpec SCOPES all_pairs_tables average_distance betweenness bfs_geodesics
+    cartesian_product check_family complete cycle cycle_product_wiener cycle_wiener debruijn_count diameter
+    distance even_cycles_bc even_cycles_bc_alt factorized_betweenness factorized_betweenness_all
+    format_edge_list generate graph_from_edges grid grid_bc hamming hamming_bc hypercube hypercube_bc
+    interval interval_membership is_connected is_geodetic load_graph odd_cycles_bc pair_dependency
+    parse_edge_list path product_distance product_pair_dependency product_sigma product_spec product_wiener
+    run_verify save_graph sigma sigma_through star torus torus_bc torus_bc_alt uniform_kn_bc wiener
+""".split()
+
+
+def test_public_names_are_pinned():
+    import boxbc
+
+    # a move between modules must keep every public name, under the same spelling
+    assert len(PUBLIC_NAMES) == 61
+    assert boxbc.__all__ == sorted(PUBLIC_NAMES)
+    for name in PUBLIC_NAMES:
+        assert getattr(boxbc, name) is not None
+
+
+def test_only_cli_defers_imports_into_functions():
+    # A relative import inside a function hides a dependency (or an import
+    # cycle) from the module header; only cli's subcommand deferrals may.
+    import boxbc
+
+    def deferred(node, function=None):
+        # the innermost enclosing function of each relative import
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from deferred(child, child.name)
+            else:
+                if function and isinstance(child, ast.ImportFrom) and child.level > 0:
+                    yield function
+                yield from deferred(child, function)
+
+    found = [
+        (source.stem, function)
+        for source in sorted(Path(boxbc.__file__).parent.glob("*.py"))
+        for function in deferred(ast.parse(source.read_text(encoding="utf-8")))
+    ]
+    assert sorted(found) == sorted(
+        ("cli", name) for name in ("cmd_verify", "cmd_bench", "_gen_arguments", "_verify_arguments", "_bench_arguments")
+    )
 
 
 def _recorded_help() -> list:

@@ -126,6 +126,13 @@ def test_dependency_validation():
         pair_dependency(split, 0, 2, 1)
 
 
+@pytest.mark.parametrize("u, v, x", [(0, 99, 0), (99, 0, 0), (0, True, 1)])
+def test_dependency_checks_every_vertex_before_the_endpoint_shortcut(u, v, x):
+    # x equals an endpoint in each case, so the result would be 0 if only x were checked
+    with pytest.raises(GraphError, match="vertex id"):
+        pair_dependency(path(3), u, v, x)
+
+
 def test_dependency_known_values():
     assert pair_dependency(path(3), 0, 2, 1) == 1
     assert pair_dependency(cycle(4), 0, 2, 1) == Fraction(1, 2)

@@ -65,6 +65,20 @@ def test_spec_validation():
         product_spec([graph_from_edges(3, [(0, 1)])])
 
 
+@pytest.mark.parametrize("bad", [True, False, 1.0, 0.0])
+def test_coordinates_and_ids_follow_the_vertex_id_rule(bad):
+    # the rule of Graph.check_vertex: an int, not a bool, in range
+    spec = product_spec([path(3), path(3)])
+    with pytest.raises(GraphError, match="out of range"):
+        spec.encode((bad, 0))
+    with pytest.raises(GraphError, match="out of range"):
+        spec.decode(bad)
+    with pytest.raises(GraphError, match="out of range"):
+        product_distance(spec, (bad, 0), (0, 0))
+    with pytest.raises(GraphError, match="out of range"):
+        product_distance(spec, (0, 0), (0, bad))
+
+
 def test_known_products():
     # P_2 x P_2 is a 4-cycle under the row-major labeling 0=(0,0) .. 3=(1,1).
     square = cartesian_product([path(2), path(2)]).graph

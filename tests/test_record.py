@@ -8,6 +8,7 @@ import pytest
 
 from boxbc import (
     CentralityReport,
+    CheckResult,
     GeodesicTable,
     Graph,
     ProductGraph,
@@ -17,6 +18,7 @@ from boxbc import (
     graph_from_edges,
     product_spec,
 )
+from boxbc.bench import BenchRow
 from boxbc.record import Record
 
 
@@ -33,6 +35,8 @@ def _pairs():
          CentralityReport(method="brandes", graph="P3", values=(Fraction(0), Fraction(1), Fraction(0)), uniform=False)),
         (product_spec([_path3(), _path3()]), ProductSpec((_path3([(1, 2), (0, 1)]), _path3()))),
         (cartesian_product([_path3()] * 2), cartesian_product([_path3([(2, 1), (0, 1)])] * 2)),
+        (BenchRow("Q_3", 8, "brandes", 0.25), BenchRow("Q_3", 2 ** 3, "brandes", 1 / 4)),
+        (CheckResult("core", "wiener", True, "ok", 0.5), CheckResult("core", "wiener", True, "ok", 0.5)),
     ]
 
 
@@ -59,6 +63,7 @@ def test_fields_cannot_be_assigned_or_deleted(a, b):
 
 def test_different_values_and_classes_differ():
     assert _path3() != graph_from_edges(3, [(0, 1), (0, 2)])
+    assert BenchRow("Q_3", 8, "brandes", 0.25) != BenchRow("Q_3", 8, "factorized", 0.25)
     assert GeodesicTable(0, (0,), (1,)) != GeodesicTable(1, (0,), (1,))
 
     class Twin(Record):
@@ -74,6 +79,10 @@ def test_repr_lists_fields_in_order():
     assert repr(report) == (
         "CentralityReport(method='closed-form', graph='Q3', values=(Fraction(5, 2),), uniform=True)"
     )
+    assert repr(BenchRow("Q_3", 8, "brandes", 0.25)) == "BenchRow(instance='Q_3', n=8, method='brandes', seconds=0.25)"
+    assert repr(CheckResult("core", "wiener", False, "W = 3 != 4", 0.5)) == (
+        "CheckResult(scope='core', name='wiener', passed=False, detail='W = 3 != 4', seconds=0.5)"
+    )
     spec = ProductSpec((Graph(((1,), (0,))),))
     assert repr(ProductGraph(spec, spec.factors[0])) == (
         "ProductGraph(spec=ProductSpec(factors=(Graph(adjacency=((1,), (0,))),)), graph=Graph(adjacency=((1,), (0,))))"
@@ -88,6 +97,10 @@ def test_constructor_takes_every_field():
         GeodesicTable(0, (0,), (1,), 2)
     with pytest.raises(TypeError):
         CentralityReport("brandes", "g", (), False, False)
+    with pytest.raises(TypeError):
+        BenchRow("Q_3", 8, "brandes")
+    with pytest.raises(TypeError):
+        CheckResult("core", "wiener", True, "ok", 0.5, 0.5)
 
 
 def test_cached_properties_survive_immutability():
