@@ -165,6 +165,9 @@ def cmd_bc(args: argparse.Namespace) -> int:
         spec = None if factors is None else _self.product_spec(factors)
         materialize = lambda: _self.generate(family, *params)
 
+    if args.labels == "coords" and spec is None:
+        raise _UsageError("--labels coords needs a product input (--factors or a product family)")
+
     if method == "closed-form":
         report = _closed_form_report(family, params, descriptor)
     elif method == "factorized":
@@ -174,8 +177,6 @@ def cmd_bc(args: argparse.Namespace) -> int:
 
     labels = None
     if args.labels == "coords":
-        if spec is None:
-            raise _UsageError("--labels coords needs a product input (--factors or a product family)")
         if report.uniform:
             raise _UsageError("a uniform report has a single '*' row; coordinate labels do not apply")
         labels = [str(c) for c in spec.coordinates()]

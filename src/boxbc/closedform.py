@@ -1,9 +1,11 @@
 """Closed-form betweenness and Wiener values for product families.
 
 Each function evaluates an exact formula in the integer parameters of the
-family; no graph is built.  Where a family has two published forms of the same
-value (cycle products, two-cycle tori), both are implemented so their equality
-can be checked rather than assumed.
+family; no graph is built.  Cycles, tori and products of cycles of any parities
+share one formula: a product of cycles is vertex transitive, so every vertex
+carries ``(W - C(N, 2)) / N``, and its total distance W composes from one term
+per cycle.  The half-length forms of even-cycle products and tori are kept as
+independent checks of it.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from fractions import Fraction
 from math import comb, factorial, prod
 
 from .generators import check_family
-from .graph import GraphError
+from .graph import GraphError, is_int
 from .product import Profile, _class_betweenness
 
 HALF = Fraction(1, 2)
@@ -37,9 +39,9 @@ def uniform_kn_bc(n: int, r: int) -> Fraction:
     ``((r - 1) n^r - r n^(r-1) + 1) / 2``; agrees with :func:`hamming_bc` on
     the repeated size list.
     """
-    if n < 2:
+    if not is_int(n) or n < 2:
         raise GraphError(f"complete-graph size must be at least 2, got {n}")
-    if r < 1:
+    if not is_int(r) or r < 1:
         raise GraphError(f"exponent must be at least 1, got {r}")
     return Fraction((r - 1) * n**r - r * n ** (r - 1) + 1, 2)
 
@@ -50,26 +52,37 @@ def hypercube_bc(r: int) -> Fraction:
     return (r - 2) * Fraction(2) ** (r - 2) + HALF
 
 
-def _check_cycle_sizes(sizes, parity: str) -> tuple[int, ...]:
+def _check_cycle_sizes(sizes, parity: str | None = None) -> tuple[int, ...]:
     sizes = tuple(sizes)
     if not sizes:
         raise GraphError("cycle product needs at least one cycle length")
     minimum = 4 if parity == "even" else 3
+    rule = f"at least {minimum}" if parity is None else f"{parity} and at least {minimum}"
     for n in sizes:
-        if n < minimum or n % 2 != (0 if parity == "even" else 1):
-            raise GraphError(f"cycle lengths must be {parity} and at least {minimum}, got {sizes}")
+        if not is_int(n) or n < minimum or (parity is not None and n % 2 != (parity == "odd")):
+            raise GraphError(f"cycle lengths must be {rule}, got {sizes}")
     return sizes
 
 
-def even_cycles_bc(sizes) -> Fraction:
-    """Betweenness in a product of even cycles.
+def _cycle_term(n: int) -> Fraction:
+    """``n - [n odd] / n``, which is ``8 W(C_n) / n^2``: one cycle's share of every cycle formula."""
+    return n - Fraction(n % 2, n)
 
-    ``(prod(n) * sum(n) - 4 (prod(n) - 1)) / 8`` with every length even and at
-    least 4 (a 2-cycle is not a simple graph).
+
+def _cycle_product_bc(sizes: tuple[int, ...]) -> Fraction:
+    """Betweenness of every vertex of a product of cycles of any parities.
+
+    With ``N = prod(n)`` the total distance is ``W = N^2 sum(t) / 8`` over the
+    per-cycle terms ``t``; the product is vertex transitive, so each vertex
+    carries ``(W - C(N, 2)) / N = (N sum(t) - 4 (N - 1)) / 8``.
     """
-    sizes = _check_cycle_sizes(sizes, "even")
     p = prod(sizes)
-    return Fraction(p * sum(sizes) - 4 * (p - 1), 8)
+    return (p * sum(map(_cycle_term, sizes)) - 4 * (p - 1)) / 8
+
+
+def even_cycles_bc(sizes) -> Fraction:
+    """Betweenness in a product of even cycles, each at least 4: ``(prod(n) sum(n) - 4 (prod(n) - 1)) / 8``."""
+    return _cycle_product_bc(_check_cycle_sizes(sizes, "even"))
 
 
 def even_cycles_bc_alt(sizes) -> Fraction:
@@ -82,32 +95,14 @@ def even_cycles_bc_alt(sizes) -> Fraction:
 
 
 def odd_cycles_bc(sizes) -> Fraction:
-    """Betweenness in a product of odd cycles.
-
-    ``(prod(n) * sum(n - 1/n) - 4 (prod(n) - 1)) / 8`` with every length odd.
-    """
-    sizes = _check_cycle_sizes(sizes, "odd")
-    p = prod(sizes)
-    defect_sum = sum(Fraction(n * n - 1, n) for n in sizes)
-    return (p * defect_sum - 4 * (p - 1)) / 8
+    """Betweenness in a product of odd cycles: ``(prod(n) sum(n - 1/n) - 4 (prod(n) - 1)) / 8``."""
+    return _cycle_product_bc(_check_cycle_sizes(sizes, "odd"))
 
 
 def torus_bc(m: int, n: int) -> Fraction:
-    """Betweenness in the two-cycle product, by parity case.
-
-    Both odd: ``(mn - 1)(m + n - 4) / 8``.  Both even:
-    ``(m n^2 + m (m - 4) n + 4) / 8``.  Mixed parity uses the odd-first form
-    ``(m n^2 + (m^2 - 4m - 1) n + 4) / 8``; arguments arriving as
-    (even, odd) are swapped first, which commutativity of the product allows.
-    """
+    """Betweenness in the two-cycle product ``C_m x C_n``, for any parities of ``m`` and ``n``."""
     check_family("torus", m, n)
-    if m % 2 == 0 and n % 2 == 1:
-        m, n = n, m
-    if m % 2 == 1 and n % 2 == 1:
-        return Fraction((m * n - 1) * (m + n - 4), 8)
-    if m % 2 == 0:
-        return Fraction(m * n * n + m * (m - 4) * n + 4, 8)
-    return Fraction(m * n * n + (m * m - 4 * m - 1) * n + 4, 8)
+    return _cycle_product_bc((m, n))
 
 
 def torus_bc_alt(m: int, n: int) -> Fraction:
@@ -137,7 +132,7 @@ def grid_bc(m: int, n: int, a: int, b: int) -> Fraction:
     ``(b - 1, n - b)``, with no graph and no BFS table.
     """
     check_family("grid", m, n)
-    if not (1 <= a <= m and 1 <= b <= n):
+    if not (is_int(a) and is_int(b) and 1 <= a <= m and 1 <= b <= n):
         raise GraphError(f"position ({a}, {b}) outside grid 1..{m} x 1..{n}")
     return _class_betweenness((_path_profile(a - 1, m - a), _path_profile(b - 1, n - b)))
 
@@ -158,29 +153,17 @@ def _path_profile(left: int, right: int) -> Profile:
 
 
 def cycle_wiener(n: int) -> int:
-    """Wiener index of one cycle: ``n^3 / 8`` even, ``(n^3 - n) / 8`` odd."""
-    if n < 3:
+    """Wiener index of one cycle, ``n^2 (n - [n odd] / n) / 8``: ``n^3 / 8`` even, ``(n^3 - n) / 8`` odd."""
+    if not is_int(n) or n < 3:
         raise GraphError(f"cycle length must be at least 3, got {n}")
-    if n % 2 == 0:
-        return n**3 // 8
-    return (n**3 - n) // 8
+    return int(n * n * _cycle_term(n) / 8)
 
 
-def cycle_product_wiener(sizes, parity: str) -> int:
-    """Wiener index of a uniform-parity cycle product.
-
-    Even lengths: ``prod(n)^2 sum(n) / 8``.  Odd lengths:
-    ``prod(n)^2 sum(n - 1/n) / 8``.  Mixed parity has no single closed form
-    here; use the general product formula instead.
-    """
-    if parity not in ("even", "odd"):
-        raise GraphError(f"parity must be 'even' or 'odd', got {parity!r}")
-    sizes = _check_cycle_sizes(sizes, parity)
+def cycle_product_wiener(sizes) -> int:
+    """Wiener index of a product of cycles of any parities: ``prod(n)^2 sum(n - [n odd] / n) / 8``."""
+    sizes = _check_cycle_sizes(sizes)
     p = prod(sizes)
-    if parity == "even":
-        value = Fraction(p * p * sum(sizes), 8)
-    else:
-        value = Fraction(p * p, 8) * sum(Fraction(n * n - 1, n) for n in sizes)
+    value = p * p * sum(map(_cycle_term, sizes)) / 8
     assert value.denominator == 1
     return value.numerator
 
@@ -191,8 +174,8 @@ def debruijn_count(k: int, n: int) -> int:
     Also the number of corner-to-corner geodesics in the k-fold product of
     paths on ``n + 1`` vertices.
     """
-    if k < 1:
+    if not is_int(k) or k < 1:
         raise GraphError(f"arity must be at least 1, got {k}")
-    if n < 0:
+    if not is_int(n) or n < 0:
         raise GraphError(f"length must be non-negative, got {n}")
     return factorial(k * n) // factorial(n) ** k

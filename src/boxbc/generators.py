@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .graph import Graph, GraphError, graph_from_edges
+from .graph import Graph, GraphError, graph_from_edges, is_int
 from .product import cartesian_product
 
 
@@ -81,6 +81,8 @@ def check_family(family: str, *params: int) -> None:
         raise GraphError("hamming graph needs at least one factor size")
     if arity is not None and len(params) != arity:
         raise GraphError(f"family {family!r} takes {arity} parameter(s), got {len(params)}")
+    if not all(map(is_int, params)):
+        raise GraphError(f"family {family!r} parameters must be integers, got {params}")
     if any(p < least for p in params):
         raise GraphError(message.format(*params) if arity else message.format(params))
 

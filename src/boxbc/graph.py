@@ -68,9 +68,14 @@ class Graph(Record):
         return v
 
 
+def is_int(v: object) -> bool:
+    """The type rule for vertex ids, coordinates, counts and family parameters: an ``int``, not a ``bool``."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def is_vertex_id(v: object, count: int) -> bool:
-    """The one rule for vertex ids and coordinates: an ``int``, not a ``bool``, in ``0..count-1``."""
-    return isinstance(v, int) and not isinstance(v, bool) and 0 <= v < count
+    """The one rule for vertex ids and coordinates: :func:`is_int` and in ``0..count-1``."""
+    return is_int(v) and 0 <= v < count
 
 
 def graph_from_edges(vertex_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -79,7 +84,7 @@ def graph_from_edges(vertex_count: int, edges: Iterable[tuple[int, int]]) -> Gra
     Rejects out-of-range ids, self-loops and duplicate edges.  Connectivity is
     not required here; analysis entry points check it separately.
     """
-    if vertex_count < 0:
+    if not is_int(vertex_count) or vertex_count < 0:
         raise GraphError(f"vertex count must be non-negative, got {vertex_count}")
     nbrs: list[set[int]] = [set() for _ in range(vertex_count)]
     for u, v in edges:

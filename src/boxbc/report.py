@@ -21,6 +21,7 @@ from typing import Sequence
 from .record import Record
 
 UNIFORM_VERTEX = "*"
+DECIMAL_DIGITS = 12
 
 
 class CentralityReport(Record):
@@ -54,11 +55,11 @@ def parse_fraction(text: str) -> Fraction:
     return Fraction(int(num), int(den))
 
 
-def decimal_str(value: Fraction, digits: int = 12) -> str:
+def decimal_str(value: Fraction) -> str:
     from decimal import Decimal, localcontext
 
     with localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = DECIMAL_DIGITS
         return str(Decimal(value.numerator) / Decimal(value.denominator))
 
 

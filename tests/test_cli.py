@@ -200,6 +200,24 @@ def test_bc_usage_errors(capsys, tmp_path):
     assert run_cli(capsys, "bc", str(tmp_path / "nope.el"))[0] == 2
 
 
+def test_coordinate_labels_refuse_a_plain_input_before_any_work(capsys, monkeypatch, tmp_path):
+    import boxbc.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the route ran before the usage error")
+
+    monkeypatch.setattr(cli, "load_graph", refuse)
+    monkeypatch.setattr(cli, "betweenness", refuse)
+    message = "usage error: --labels coords needs a product input (--factors or a product family)\n"
+    for argv in (
+        [str(tmp_path / "q9.el")],
+        ["--family", "cycle", "4"],
+        ["--family", "path", "5", "--method", "closed-form"],
+        ["--family", "star", "3", "--method", "definitional"],
+    ):
+        assert run_cli(capsys, "bc", *argv, "--labels", "coords") == (1, "", message)
+
+
 def test_bc_rejects_disconnected(capsys, tmp_path):
     el = tmp_path / "split.el"
     el.write_text("0 1\n2 3\n")

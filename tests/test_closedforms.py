@@ -35,7 +35,7 @@ from boxbc import (
     uniform_kn_bc,
     wiener,
 )
-from boxbc.closedform import _path_profile
+from boxbc.closedform import _cycle_product_bc, _path_profile
 from boxbc.product import _profile
 
 
@@ -157,6 +157,13 @@ def test_torus_matches_pure_parities():
     assert torus_bc(3, 5) == odd_cycles_bc([3, 5])
 
 
+@pytest.mark.parametrize("sizes", [(3, 4, 5), (3, 3, 4), (4, 4, 5)])
+def test_cycle_product_formula_on_mixed_parities(sizes):
+    g = cartesian_product([cycle(n) for n in sizes]).graph
+    assert _cycle_product_bc(sizes) == _uniform_value(g)
+    assert _cycle_product_bc(sizes[::-1]) == _cycle_product_bc(sizes)
+
+
 def test_grid_formula():
     assert grid_bc(3, 3, 2, 2) == Fraction(32, 3)
     assert grid_bc(3, 3, 1, 1) == Fraction(4, 3)
@@ -206,15 +213,46 @@ def test_cycle_wiener_values():
 
 
 def test_cycle_product_wiener_values():
-    assert cycle_product_wiener([4, 4], "even") == 256
-    assert cycle_product_wiener([3, 3], "odd") == 54
-    assert cycle_product_wiener([6], "even") == 27
-    for sizes, parity in (([4, 6], "even"), ([3, 5], "odd"), ([4, 4, 4], "even")):
-        assert cycle_product_wiener(sizes, parity) == product_wiener([cycle(n) for n in sizes])
+    assert cycle_product_wiener([4, 4]) == 256
+    assert cycle_product_wiener([3, 3]) == 54
+    assert cycle_product_wiener([6]) == 27
+    for sizes in ([4, 6], [3, 5], [4, 4, 4]):
+        assert cycle_product_wiener(sizes) == product_wiener([cycle(n) for n in sizes])
     with pytest.raises(GraphError):
-        cycle_product_wiener([3, 4], "even")
+        cycle_product_wiener([2, 4])
+
+
+def test_cycle_product_wiener_on_mixed_parities():
+    for sizes in ([3, 4], [4, 3], [3, 4, 5], [3, 3, 4], [4, 4, 5], [3, 4, 4, 5]):
+        assert cycle_product_wiener(sizes) == product_wiener([cycle(n) for n in sizes])
+    with pytest.raises(GraphError, match=r"cycle lengths must be at least 3, got \(4, 2\)"):
+        cycle_product_wiener([4, 2])
+    with pytest.raises(GraphError, match="at least one cycle length"):
+        cycle_product_wiener([])
+
+
+@pytest.mark.parametrize(
+    "formula, args",
+    [
+        (torus_bc, (3.0, 4)),
+        (grid_bc, (True, 3, 1, 1)),
+        (hypercube_bc, (True,)),
+        (even_cycles_bc, ([4.0],)),
+        (odd_cycles_bc, ([3, 5.0],)),
+        (cycle_product_wiener, ([3, 4.0],)),
+        (grid_bc, (3, 3, True, 1)),
+        (grid_bc, (3, 3, 2, 2.0)),
+        (uniform_kn_bc, (2.0, 2)),
+        (uniform_kn_bc, (3, True)),
+        (cycle_wiener, (4.0,)),
+        (debruijn_count, (True, 2)),
+        (debruijn_count, (2, 2.0)),
+    ],
+)
+def test_closed_form_parameters_follow_the_int_rule(formula, args):
+    # an int, not a bool: a float or bool parameter raises GraphError, never TypeError or a value
     with pytest.raises(GraphError):
-        cycle_product_wiener([4, 4], "sideways")
+        formula(*args)
 
 
 def test_debruijn_counts():

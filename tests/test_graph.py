@@ -7,8 +7,11 @@ from boxbc import (
     DisconnectedGraphError,
     Graph,
     GraphError,
+    cycle,
     graph_from_edges,
+    hypercube,
     is_connected,
+    path,
 )
 from boxbc.graph import require_connected
 from strategies import connected_graphs
@@ -50,6 +53,22 @@ def test_rejects_bool_vertex_ids():
         g.neighbors(True)
     with pytest.raises(GraphError):
         graph_from_edges(2, [(False, 1)])
+
+
+@pytest.mark.parametrize("count", [True, False, 2.0, "2"])
+def test_vertex_counts_follow_the_int_rule(count):
+    # the type half of the vertex-id rule: a count is an int, not a bool
+    with pytest.raises(GraphError, match="vertex count must be non-negative"):
+        graph_from_edges(count, [])
+
+
+@pytest.mark.parametrize(
+    "build, argument",
+    [(path, 2.0), (cycle, 3.0), (hypercube, True), (path, True), (cycle, "4")],
+)
+def test_family_parameters_follow_the_int_rule(build, argument):
+    with pytest.raises(GraphError, match="parameters must be integers"):
+        build(argument)
 
 
 def test_check_vertex_range():

@@ -1,13 +1,16 @@
-"""README's command-line examples, run as shown.
+"""README's examples, run as shown.
 
 Every ``$ boxbc ...`` line in the "Command line" section runs through
 ``cli.main``, in order and in one temporary directory, since a later example
 may read a file an earlier one wrote.  Its stdout must equal the lines shown
-under it, or their first N lines for ``| head -N``.
+under it, or their first N lines for ``| head -N``.  The "Library quickstart"
+block runs statement by statement, and each expression's ``repr`` must equal
+the value its comment starts with.
 """
 
 from __future__ import annotations
 
+import ast
 import re
 import shlex
 from pathlib import Path
@@ -43,3 +46,23 @@ def test_readme_command_line_examples(capsys, monkeypatch, tmp_path):
         assert (code, captured.err) == (0, ""), line
         out = captured.out.splitlines()
         assert (out[: int(head)] if head else out) == shown, line
+
+
+def test_readme_library_quickstart():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Library quickstart\n", 1)[1].split("\n## ", 1)[0]
+    source = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    lines = source.splitlines()
+    namespace: dict = {}
+    shown_values = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.Expr):
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+            continue
+        comment = lines[node.end_lineno - 1].partition("#")[2].strip()
+        shown = re.match(r"Fraction\(\d+, \d+\)|\d+", comment)
+        assert shown, f"line {node.lineno}: the comment shows no value"
+        value = eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace)
+        assert repr(value) == shown.group(), lines[node.lineno - 1]
+        shown_values.append(shown.group())
+    assert shown_values == ["Fraction(32, 3)", "Fraction(32, 3)", "6", "Fraction(37, 2)", "Fraction(32, 3)", "256"]
