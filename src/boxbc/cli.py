@@ -128,13 +128,16 @@ def _closed_form_report(family: str, params: list[int], descriptor: str) -> Cent
 
 def cmd_gen(args: argparse.Namespace) -> int:
     family, params = _family_request([args.family, *args.params])
-    _emit(_self.format_edge_list(_self.generate(family, *params)), args.output)
+    # a product family streams its edges from the factors, like ``product``
+    factors = _self.family_factors(family, *params)
+    instance = _self.generate(family, *params) if factors is None else _self.product_spec(factors)
+    _emit(_self.format_edge_list(instance), args.output)
     return EXIT_OK
 
 
 def cmd_product(args: argparse.Namespace) -> int:
     factors = [_self.load_graph(p) for p in args.files]
-    _emit(_self.format_edge_list(_self.cartesian_product(factors).graph), args.output)
+    _emit(_self.format_edge_list(_self.product_spec(factors)), args.output)
     return EXIT_OK
 
 

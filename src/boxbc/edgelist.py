@@ -8,8 +8,12 @@ are ignored.  Without a header the vertex count is the largest id plus one.
 from __future__ import annotations
 
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .graph import Graph, GraphError, graph_from_edges
+
+if TYPE_CHECKING:
+    from .product import ProductSpec
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -60,11 +64,18 @@ def _parse_id(token: str, lineno: int) -> int:
     return value
 
 
-def format_edge_list(g: Graph) -> str:
-    """Deterministic edge-list text: header plus edges sorted by endpoint ids."""
-    lines = [f"n {g.vertex_count}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
+def format_edge_list(g: Graph | ProductSpec) -> str:
+    """Deterministic edge-list text: header plus edges sorted by endpoint ids.
+
+    ``g`` is anything with ``vertex_count`` and ``edges()``, such as a
+    :class:`Graph` or a :class:`~boxbc.product.ProductSpec`, whose edges
+    stream from its factors.  The text grows in one buffer, never as a list
+    of line strings.
+    """
+    text = bytearray(b"n %d\n" % g.vertex_count)
+    for edge in g.edges():
+        text += b"%d %d\n" % edge
+    return text.decode()
 
 
 def load_graph(path: str | Path) -> Graph:

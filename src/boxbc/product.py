@@ -24,12 +24,13 @@ import itertools
 from fractions import Fraction
 from functools import cached_property
 from math import comb, lcm, prod
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .graph import GeodesicTable, Graph, GraphError, all_pairs_tables, is_vertex_id, require_connected, wiener
 from .record import Record
 
 Coords = tuple[int, ...]
+Offsets = tuple[int, ...]
 Profile = tuple[tuple[tuple[int, int], Fraction], ...]
 ZERO = Fraction(0)
 
@@ -87,6 +88,34 @@ class ProductSpec(Record):
         """All coordinate vectors in vertex-id order."""
         return [self.decode(vid) for vid in range(self.vertex_count)]
 
+    @cached_property
+    def _neighbour_offsets(self) -> tuple[tuple[tuple[Offsets, Offsets], ...], ...]:
+        """Per factor, per coordinate ``c``: the ascending id offsets ``(lower, upper)`` of its neighbours.
+
+        A neighbour ``w`` of ``c`` in factor ``i`` is ``(w - c) * strides[i]``
+        away, and every later factor moves an id by less than one stride ``i``.
+        """
+        return tuple(
+            tuple(
+                (tuple((w - c) * stride for w in nbrs if w < c), tuple((w - c) * stride for w in nbrs if w > c))
+                for c, nbrs in enumerate(factor.adjacency)
+            )
+            for factor, stride in zip(self.factors, self.strides)
+        )
+
+    def edges(self) -> Iterator[tuple[int, int]]:
+        """Yield each product edge once as ``(u, v)`` with ``u < v``, in sorted order.
+
+        Streams from the offset tables; the product is never built.  A
+        vertex's upper offsets ascend through the last factor's, then each
+        earlier factor's, and ``itertools.product`` walks the ids in order.
+        """
+        uppers = [tuple(upper for _, upper in sides) for sides in self._neighbour_offsets]
+        for u, combo in enumerate(itertools.product(*uppers)):
+            for offsets in reversed(combo):
+                for d in offsets:
+                    yield u, u + d
+
 
 class ProductGraph(Record):
     """A product spec together with the materialized graph on the labeled vertices."""
@@ -114,17 +143,11 @@ def cartesian_product(factors: Iterable[Graph]) -> ProductGraph:
     one position and that pair is an edge of the corresponding factor.
     """
     spec = product_spec(factors)
-    # Offsets from a vertex to its neighbours, built from the last factor
-    # outwards.  Neighbours along factor i differ by multiples of stride i,
-    # and every later factor moves less than one stride i, so a vertex's
-    # sorted offsets are its factor-i lower neighbours, then the offsets of
-    # its suffix coordinates, then its factor-i upper neighbours.
+    # A vertex's sorted offsets are its factor-i lower neighbours, then the
+    # offsets of its suffix coordinates, then its factor-i upper neighbours
+    # (see ProductSpec._neighbour_offsets), built from the last factor outwards.
     offsets: list[tuple[int, ...]] = [()]
-    for factor, stride in zip(reversed(spec.factors), reversed(spec.strides)):
-        sides = [
-            (tuple((w - c) * stride for w in nbrs if w < c), tuple((w - c) * stride for w in nbrs if w > c))
-            for c, nbrs in enumerate(factor.adjacency)
-        ]
+    for sides in reversed(spec._neighbour_offsets):
         offsets = [lower + rest + upper for lower, upper in sides for rest in offsets]
     adjacency = tuple(tuple(map(vid.__add__, offs)) for vid, offs in enumerate(offsets))
     return ProductGraph(spec, Graph(adjacency))

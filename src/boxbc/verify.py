@@ -18,6 +18,7 @@ from typing import Callable, Iterator
 
 from .centrality import betweenness
 from .closedform import (
+    _cycle_product_bc,
     cycle_product_wiener,
     cycle_wiener,
     debruijn_count,
@@ -336,6 +337,21 @@ def _check_labeling_roundtrip() -> str:
     return f"mixed-radix labels round-trip on {vertices} vertices"
 
 
+@_check("products", "edge-stream")
+def _check_edge_stream() -> str:
+    products = _product_multisets(64, 6)
+    edges = 0
+    for label, factors in products:
+        spec, g = product_spec(factors), _materialize(factors).graph
+        streamed = list(spec.edges())
+        if streamed != list(g.edges()):
+            raise CheckFailure(f"{label}: streamed edges differ from the materialized product's")
+        if format_edge_list(spec) != format_edge_list(g):
+            raise CheckFailure(f"{label}: streamed edge-list text differs from the materialized product's")
+        edges += len(streamed)
+    return f"streamed edge lists match the materialized products on {len(products)} products ({edges} edges)"
+
+
 @_check("products", "distance-additivity")
 def _check_distance_additivity() -> str:
     pairs = 0
@@ -555,6 +571,11 @@ def _check_cycle_products() -> str:
     for sizes in _size_multisets(3, 64, step=2):
         _family_sweep(f"odd C{list(sizes)}", _materialize(tuple(cycle(n) for n in sizes)).graph, odd_cycles_bc(sizes))
         count += 1
+    for sizes in _size_multisets(3, 64):
+        if len({n % 2 for n in sizes}) == 2:
+            g = _materialize(tuple(cycle(n) for n in sizes)).graph
+            _family_sweep(f"mixed C{list(sizes)}", g, _cycle_product_bc(sizes))
+            count += 1
     return f"cycle-product formulas match accumulation on {count} instances"
 
 

@@ -13,6 +13,7 @@ import pytest
 
 from boxbc import (
     cartesian_product,
+    complete,
     cycle,
     format_edge_list,
     graph_from_edges,
@@ -20,6 +21,7 @@ from boxbc import (
     grid_bc,
     hypercube,
     parse_edge_list,
+    path,
 )
 from boxbc.cli import main
 from boxbc.report import values_from_csv
@@ -58,6 +60,31 @@ def test_product_command(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "product", str(p3), str(p3))
     assert code == 0
     assert parse_edge_list(out) == grid(3, 3)
+
+
+@pytest.mark.parametrize(
+    "argv, factors",
+    [
+        (("product", "{p3}", "{k2}", "{p3}"), [path(3), complete(2), path(3)]),
+        (("gen", "hypercube", "3"), [complete(2)] * 3),
+    ],
+    ids=["product", "gen hypercube"],
+)
+def test_product_edge_lists_stream_from_the_factors(capsys, monkeypatch, tmp_path, argv, factors):
+    # the edge list is written from the factors' offset tables; building the
+    # product graph on either route fails the request
+    import boxbc.cli as cli
+    import boxbc.generators as generators
+
+    expected = format_edge_list(cartesian_product(factors).graph)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the product graph was materialized")
+
+    monkeypatch.setattr(cli, "cartesian_product", refuse)
+    monkeypatch.setattr(generators, "cartesian_product", refuse)
+    files = _write_factors(tmp_path)
+    assert run_cli(capsys, *(a.format(**files) for a in argv)) == (0, expected, "")
 
 
 def test_bc_file_brandes(capsys, tmp_path):
@@ -492,7 +519,7 @@ _TRACED_REQUESTS = {
     "load_graph": ("wiener", "{p3}"),
     "format_edge_list": ("gen", "cycle", "4"),
     "generate": ("gen", "cycle", "4"),
-    "cartesian_product": ("product", "{p3}", "{k2}"),
+    "cartesian_product": ("bc", "--factors", "{p3},{k2}"),
     "factorized_betweenness_all": ("bc", "--factors", "{p3},{k2}", "--method", "factorized"),
     "product_wiener": ("wiener", "--factors", "{p3},{k2}"),
     "report_to_csv": ("bc", "--family", "torus", "3", "3", "--method", "closed-form"),

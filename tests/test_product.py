@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 from math import comb
@@ -14,10 +15,12 @@ from boxbc import (
     all_pairs_tables,
     betweenness,
     cartesian_product,
+    cli,
     complete,
     cycle,
     factorized_betweenness,
     factorized_betweenness_all,
+    format_edge_list,
     graph_from_edges,
     grid,
     hypercube,
@@ -29,12 +32,14 @@ from boxbc import (
     product_sigma,
     product_spec,
     product_wiener,
+    save_graph,
     star,
     torus_bc,
     wiener,
 )
 from oracles import enumerated_dependency, matrix_geodesics
 from strategies import random_factors, small_factors
+from test_cli import _random_connected
 
 
 def test_spec_layout():
@@ -120,6 +125,38 @@ def test_materialized_adjacency_matches_edge_definition(factors: list[Graph]):
             if len(differ) == 1 and coords[v][differ[0]] in factors[differ[0]].adjacency[cu[differ[0]]]:
                 edges.append((u, v))
     assert cartesian_product(factors).graph == graph_from_edges(spec.vertex_count, edges)
+    assert list(spec.edges()) == edges
+
+
+@given(random_factors(max_product=120, max_arity=5))
+@settings(max_examples=60, deadline=None)
+def test_streamed_edges_match_the_materialized_product(factors: list[Graph]):
+    spec = product_spec(factors)
+    g = cartesian_product(factors).graph
+    assert list(spec.edges()) == list(g.edges())
+    assert format_edge_list(spec) == format_edge_list(g)
+
+
+def test_product_command_peaks_below_four_times_its_output(tmp_path):
+    # the edge list streams from the factors into one text buffer; building
+    # the product graph and one string per edge line peaked at about 19 times
+    # the output on this 6,400-vertex product
+    paths = []
+    for i, g in enumerate([cycle(16), _random_connected(25, 6, seed=25), cycle(16)]):
+        paths.append(str(tmp_path / f"f{i}.el"))
+        save_graph(paths[-1], g)
+    target = tmp_path / "product.el"
+    argv = ["product", *paths, "-o", str(target)]
+    assert cli.main(argv) == 0  # loads every module the command uses before tracing starts
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    size = target.stat().st_size
+    assert peak < 4 * size, f"peak {peak} bytes for {size} bytes of output"
 
 
 @given(small_factors())
