@@ -18,13 +18,13 @@ _EXPORTS = {
     "closedform": "cycle_product_wiener cycle_wiener debruijn_count even_cycles_bc even_cycles_bc_alt grid_bc"
     " hamming_bc hypercube_bc odd_cycles_bc torus_bc torus_bc_alt uniform_kn_bc",
     "edgelist": "format_edge_list load_graph parse_edge_list save_graph",
-    "generators": "FAMILIES check_family complete cycle generate grid hamming hypercube path star torus",
+    "generators": "FAMILIES check_family complete cycle family_factors generate grid hamming hypercube path star torus",
     "graph": "DisconnectedGraphError GeodesicTable Graph GraphError all_pairs_tables average_distance"
     " bfs_geodesics diameter distance graph_from_edges interval is_connected is_geodetic pair_dependency"
     " sigma sigma_through wiener",
     "product": "ProductGraph ProductSpec cartesian_product factorized_betweenness factorized_betweenness_all"
     " interval_membership product_distance product_pair_dependency product_sigma product_spec product_wiener",
-    "report": "CentralityReport",
+    "report": "CentralityReport report_to_csv report_to_json",
     "verify": "CheckResult SCOPES run_verify",
 }
 

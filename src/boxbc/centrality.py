@@ -17,27 +17,22 @@ from fractions import Fraction
 from math import lcm
 
 from .graph import Graph, GraphError, all_pairs_tables, breadth_first, require_connected
-from .report import CentralityReport
 
 METHODS = ("definitional", "brandes")
 ZERO = Fraction(0)
 
 
-def betweenness(g: Graph, method: str = "brandes", descriptor: str | None = None) -> CentralityReport:
-    """Exact betweenness of every vertex, over unordered pairs.
+def betweenness(g: Graph, method: str = "brandes") -> tuple[Fraction, ...]:
+    """Exact betweenness of every vertex, over unordered pairs, in vertex-id order.
 
     ``method`` selects the computation route; both return identical values.
     """
     require_connected(g)
     if method == "definitional":
-        values = _definitional(g)
-    elif method == "brandes":
-        values = _brandes(g)
-    else:
-        raise GraphError(f"unknown betweenness method {method!r}; expected one of {METHODS}")
-    if descriptor is None:
-        descriptor = f"graph(n={g.vertex_count}, m={g.edge_count})"
-    return CentralityReport(method, descriptor, values)
+        return _definitional(g)
+    if method == "brandes":
+        return _brandes(g)
+    raise GraphError(f"unknown betweenness method {method!r}; expected one of {METHODS}")
 
 
 def _definitional(g: Graph) -> tuple[Fraction, ...]:

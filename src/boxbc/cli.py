@@ -16,29 +16,16 @@ import gc
 import sys
 from fractions import Fraction
 from functools import cache
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
-from . import _bind_on_first_use
+from . import _EXPORTS, _bind_on_first_use
 from .graph import GraphError
 
-if TYPE_CHECKING:
-    from .report import CentralityReport
-
-# The library names the commands call, by the module that defines them.  A
-# name is imported on first access, so a request loads only the modules its
-# route runs.  Every call goes through ``_self``, this module, so a name
-# rebound on ``cli`` (a test's patch, a tracing wrapper) is the one the route
-# runs.  No command calls path, cycle or complete; they are listed because
-# perfbench/traced_child.py wraps them.
-__getattr__ = _bind_on_first_use(globals(), {
-    "centrality": "betweenness",
-    "closedform": "even_cycles_bc grid_bc hamming_bc hypercube_bc odd_cycles_bc torus_bc",
-    "edgelist": "format_edge_list load_graph",
-    "generators": "check_family complete cycle family_factors generate path",
-    "graph": "wiener",
-    "product": "cartesian_product factorized_betweenness_all product_spec product_wiener",
-    "report": "CentralityReport report_to_csv report_to_json",
-})
+# The commands call boxbc's public names, each imported from its module on
+# first access, so a request loads only the modules its route runs.  Every
+# call goes through ``_self``, this module, so a name rebound on ``cli`` (a
+# test's patch, a tracing wrapper) is the one the route runs.
+__getattr__ = _bind_on_first_use(globals(), _EXPORTS)
 _self = sys.modules[__name__]
 
 EXIT_OK = 0
@@ -116,14 +103,11 @@ _CLOSED_FORMS: dict[str, Callable[..., Fraction | tuple[Fraction, ...]]] = {
 }
 
 
-def _closed_form_report(family: str, params: list[int], descriptor: str) -> CentralityReport:
+def _closed_form(family: str, params: list[int]) -> Fraction | tuple[Fraction, ...]:
     _self.check_family(family, *params)
     if family not in _CLOSED_FORMS:
         raise GraphError(f"no closed form for family {family!r}")
-    values = _CLOSED_FORMS[family](*params)
-    if isinstance(values, tuple):
-        return _self.CentralityReport("closed-form", descriptor, values)
-    return _self.CentralityReport("closed-form", descriptor, (values,), uniform=True)
+    return _CLOSED_FORMS[family](*params)
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -172,15 +156,18 @@ def cmd_bc(args: argparse.Namespace) -> int:
         raise _UsageError("--labels coords needs a product input (--factors or a product family)")
 
     if method == "closed-form":
-        report = _closed_form_report(family, params, descriptor)
+        values = _closed_form(family, params)
     elif method == "factorized":
-        report = _self.CentralityReport("factorized", descriptor, _self.factorized_betweenness_all(spec))
+        values = _self.factorized_betweenness_all(spec)
     else:
-        report = _self.betweenness(materialize(), method=method, descriptor=descriptor)
+        values = _self.betweenness(materialize(), method=method)
+    # a closed form gives one value when it stands for every vertex
+    uniform = not isinstance(values, tuple)
+    report = _self.CentralityReport(method, descriptor, (values,) if uniform else values, uniform)
 
     labels = None
     if args.labels == "coords":
-        if report.uniform:
+        if uniform:
             raise _UsageError("a uniform report has a single '*' row; coordinate labels do not apply")
         labels = [str(c) for c in spec.coordinates()]
 
@@ -201,9 +188,7 @@ def cmd_wiener(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    from .verify import run_verify
-
-    results = run_verify(args.scope)
+    results = _self.run_verify(args.scope)
     failures = 0
     for r in results:
         failures += not r.passed
@@ -223,17 +208,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _gen_arguments(p: argparse.ArgumentParser) -> None:
-    from .generators import FAMILIES
-
-    p.add_argument("family", help=f"one of: {', '.join(FAMILIES)}")
+    p.add_argument("family", help=f"one of: {', '.join(_self.FAMILIES)}")
     p.add_argument("params", nargs="*", help="integer family parameters")
     p.add_argument("-o", "--output", help="output path (default stdout)")
 
 
 def _verify_arguments(p: argparse.ArgumentParser) -> None:
-    from .verify import SCOPES
-
-    p.add_argument("--scope", choices=SCOPES, default="all")
+    p.add_argument("--scope", choices=_self.SCOPES, default="all")
 
 
 def _bench_arguments(p: argparse.ArgumentParser) -> None:

@@ -76,6 +76,7 @@ def _vertex_labels(report: CentralityReport, labels: Sequence[str] | None) -> li
 
 
 def report_to_csv(report: CentralityReport, labels: Sequence[str] | None = None) -> str:
+    """The report as ``vertex,betweenness,decimal`` CSV rows under a header."""
     import csv
 
     out = io.StringIO()
@@ -101,6 +102,7 @@ def values_from_csv(text: str) -> dict[str, Fraction]:
 
 
 def report_to_json(report: CentralityReport, labels: Sequence[str] | None = None) -> str:
+    """The report as an indented ``{method, graph, values: [{vertex, num, den}]}`` JSON object."""
     import json
 
     resolved = _vertex_labels(report, labels)

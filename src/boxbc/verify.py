@@ -59,7 +59,7 @@ from .product import (
     product_wiener,
 )
 from .record import Record
-from .report import report_from_json, report_to_csv, report_to_json, values_from_csv
+from .report import CentralityReport, report_from_json, report_to_csv, report_to_json, values_from_csv
 
 SCOPES = ("core", "products", "closed-forms", "sum-identity", "cli", "all")
 
@@ -246,8 +246,8 @@ def _check_geodesic_tables() -> str:
 @_check("core", "method-agreement")
 def _check_method_agreement() -> str:
     for label, g in _core_instances():
-        by_def = betweenness(g, method="definitional").values
-        by_brandes = betweenness(g, method="brandes").values
+        by_def = betweenness(g, method="definitional")
+        by_brandes = betweenness(g, method="brandes")
         if by_def != by_brandes:
             x = next(i for i, (a, b) in enumerate(zip(by_def, by_brandes)) if a != b)
             raise CheckFailure(
@@ -461,8 +461,8 @@ def _check_betweenness_agreement() -> str:
         # the reversed factor order labels the same product differently
         for order in dict.fromkeys((factors, factors[::-1])):
             pg = _materialize(order)
-            by_brandes = betweenness(pg.graph, method="brandes").values
-            by_def = betweenness(pg.graph, method="definitional").values
+            by_brandes = betweenness(pg.graph, method="brandes")
+            by_def = betweenness(pg.graph, method="definitional")
             by_factors = factorized_betweenness_all(pg.spec)
             if not by_brandes == by_def == by_factors:
                 x = next(
@@ -509,7 +509,7 @@ def _check_associativity() -> str:
 
 
 def _family_sweep(label: str, g: Graph, expected: Fraction) -> None:
-    for x, value in enumerate(betweenness(g).values):
+    for x, value in enumerate(betweenness(g)):
         if value != expected:
             raise CheckFailure(f"{label}: vertex {x}: formula {expected} != brandes {value}")
 
@@ -616,7 +616,7 @@ def _check_grid() -> str:
             if m * n < 2:
                 continue
             g = grid(m, n)
-            values = betweenness(g).values
+            values = betweenness(g)
             for a in range(1, m + 1):
                 for b in range(1, n + 1):
                     want = grid_bc(m, n, a, b)
@@ -740,7 +740,7 @@ def _check_totals() -> str:
     # number of pairs; dividing instead gives the mean distance.
     for label, g in _sum_identity_instances():
         n = g.vertex_count
-        total = sum(betweenness(g).values)
+        total = sum(betweenness(g))
         w = wiener(g)
         if total != w - comb(n, 2):
             raise CheckFailure(
@@ -777,8 +777,8 @@ def _check_edge_list_roundtrip() -> str:
 @_check("cli", "report-exactness")
 def _check_report_exactness() -> str:
     reports = (
-        betweenness(grid(3, 3), descriptor="grid 3x3"),
-        betweenness(_materialize((cycle(3), path(4))).graph, descriptor="C_3 x P_4"),
+        CentralityReport("brandes", "grid 3x3", betweenness(grid(3, 3))),
+        CentralityReport("brandes", "C_3 x P_4", betweenness(_materialize((cycle(3), path(4))).graph)),
     )
     for report in reports:
         decoded = values_from_csv(report_to_csv(report))

@@ -33,45 +33,45 @@ from strategies import connected_graphs
 
 
 def test_known_vectors():
-    assert betweenness(path(3)).values == (0, 1, 0)
-    assert betweenness(path(4)).values == (0, 2, 2, 0)
-    assert betweenness(star(3)).values == (3, 0, 0, 0)
-    assert betweenness(cycle(4)).values == (Fraction(1, 2),) * 4
-    assert betweenness(cycle(5)).values == (1, 1, 1, 1, 1)
-    assert betweenness(complete(6)).values == (0,) * 6
+    assert betweenness(path(3)) == (0, 1, 0)
+    assert betweenness(path(4)) == (0, 2, 2, 0)
+    assert betweenness(star(3)) == (3, 0, 0, 0)
+    assert betweenness(cycle(4)) == (Fraction(1, 2),) * 4
+    assert betweenness(cycle(5)) == (1, 1, 1, 1, 1)
+    assert betweenness(complete(6)) == (0,) * 6
 
 
 def test_methods_agree_with_enumeration():
     for g in (path(5), cycle(6), star(4), complete(4), graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])):
         expected = enumerated_betweenness(g)
-        assert betweenness(g, method="definitional").values == expected
-        assert betweenness(g, method="brandes").values == expected
+        assert betweenness(g, method="definitional") == expected
+        assert betweenness(g, method="brandes") == expected
 
 
 @given(connected_graphs(max_vertices=8))
 @settings(max_examples=40)
 def test_methods_agree_everywhere(g: Graph):
     expected = enumerated_betweenness(g)
-    assert betweenness(g, method="definitional").values == expected
-    assert betweenness(g, method="brandes").values == expected
+    assert betweenness(g, method="definitional") == expected
+    assert betweenness(g, method="brandes") == expected
 
 
 def test_brandes_at_scale():
     # Q_9: sigma reaches 9!, and every source has the same lcm(sigma)
-    assert set(betweenness(hypercube(9)).values) == {hypercube_bc(9)}
+    assert set(betweenness(hypercube(9))) == {hypercube_bc(9)}
     # not vertex transitive: sources differ in lcm(sigma), so several
     # per-denominator sums are combined
     for factors in ((star(3), path(4), cycle(4)), (path(15), path(15))):
         g = cartesian_product(factors).graph
         assert len({lcm(*t.sigma) for t in all_pairs_tables(g)}) > 1
-        assert betweenness(g).values == factorized_betweenness_all(product_spec(factors))
+        assert betweenness(g) == factorized_betweenness_all(product_spec(factors))
 
 
 def test_tiny_graphs():
     for n, edges, expected_wiener in ((0, [], 0), (1, [], 0), (2, [(0, 1)], 1)):
         g = graph_from_edges(n, edges)
         for method in ("brandes", "definitional"):
-            values = betweenness(g, method=method).values
+            values = betweenness(g, method=method)
             assert values == (0,) * n
             assert all(type(v) is Fraction for v in values)
         assert wiener(g) == expected_wiener
@@ -80,10 +80,9 @@ def test_tiny_graphs():
 def test_method_dispatch():
     with pytest.raises(GraphError):
         betweenness(path(3), method="approximate")
-    report = betweenness(path(3))
-    assert report.method == "brandes"
-    assert report.graph == "graph(n=3, m=2)"
-    assert betweenness(path(3), descriptor="P_3").graph == "P_3"
+    # the default route is Brandes, and every route returns a plain tuple
+    assert betweenness(path(3)) == betweenness(path(3), method="brandes") == (0, 1, 0)
+    assert type(betweenness(path(3), method="definitional")) is tuple
 
 
 def test_disconnected_rejected():
@@ -134,7 +133,7 @@ def test_wiener_matches_matrix_distances(g: Graph):
 @given(connected_graphs())
 @settings(max_examples=60)
 def test_sum_identity(g: Graph):
-    total = sum(betweenness(g).values)
+    total = sum(betweenness(g))
     assert total == wiener(g) - comb(g.vertex_count, 2)
 
 

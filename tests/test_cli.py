@@ -184,6 +184,19 @@ def test_bc_json_with_coordinate_labels(capsys):
     assert payload["values"][1] == {"vertex": "(0, 1)", "num": 2, "den": 1}
 
 
+def test_every_method_builds_one_report(capsys):
+    values = {}
+    for method in ("definitional", "brandes", "factorized", "closed-form"):
+        code, out, err = run_cli(capsys, "bc", "--family", "grid", "2", "3", "--format", "json", "--method", method)
+        assert code == 0, err
+        payload = json.loads(out)
+        assert (payload["method"], payload["graph"]) == (method, "grid(2, 3)")
+        assert "uniform" not in payload
+        values[method] = payload["values"]
+    assert len(values["brandes"]) == 6
+    assert values["definitional"] == values["brandes"] == values["factorized"] == values["closed-form"]
+
+
 @pytest.mark.parametrize(
     "family",
     [["grid", "3", "4"], ["hypercube", "4"], ["hamming", "2", "3"], ["torus", "3", "4"]],
@@ -384,11 +397,12 @@ PUBLIC_NAMES = """
     CentralityReport CheckResult DisconnectedGraphError FAMILIES GeodesicTable Graph GraphError METHODS
     ProductGraph ProductSpec SCOPES all_pairs_tables average_distance betweenness bfs_geodesics
     cartesian_product check_family complete cycle cycle_product_wiener cycle_wiener debruijn_count diameter
-    distance even_cycles_bc even_cycles_bc_alt factorized_betweenness factorized_betweenness_all
+    distance even_cycles_bc even_cycles_bc_alt factorized_betweenness factorized_betweenness_all family_factors
     format_edge_list generate graph_from_edges grid grid_bc hamming hamming_bc hypercube hypercube_bc
     interval interval_membership is_connected is_geodetic load_graph odd_cycles_bc pair_dependency
     parse_edge_list path product_distance product_pair_dependency product_sigma product_spec product_wiener
-    run_verify save_graph sigma sigma_through star torus torus_bc torus_bc_alt uniform_kn_bc wiener
+    report_to_csv report_to_json run_verify save_graph sigma sigma_through star torus torus_bc torus_bc_alt
+    uniform_kn_bc wiener
 """.split()
 
 
@@ -396,7 +410,7 @@ def test_public_names_are_pinned():
     import boxbc
 
     # a move between modules must keep every public name, under the same spelling
-    assert len(PUBLIC_NAMES) == 61
+    assert len(PUBLIC_NAMES) == 64
     assert boxbc.__all__ == sorted(PUBLIC_NAMES)
     for name in PUBLIC_NAMES:
         assert getattr(boxbc, name) is not None
@@ -404,7 +418,8 @@ def test_public_names_are_pinned():
 
 def test_only_cli_defers_imports_into_functions():
     # A relative import inside a function hides a dependency (or an import
-    # cycle) from the module header; only cli's subcommand deferrals may.
+    # cycle) from the module header; only cli's bench deferrals may, because
+    # bench's names are not public.
     import boxbc
 
     def deferred(node, function=None):
@@ -422,9 +437,38 @@ def test_only_cli_defers_imports_into_functions():
         for source in sorted(Path(boxbc.__file__).parent.glob("*.py"))
         for function in deferred(ast.parse(source.read_text(encoding="utf-8")))
     ]
-    assert sorted(found) == sorted(
-        ("cli", name) for name in ("cmd_verify", "cmd_bench", "_gen_arguments", "_verify_arguments", "_bench_arguments")
-    )
+    assert sorted(found) == [("cli", "_bench_arguments"), ("cli", "cmd_bench")]
+
+
+def test_cli_reads_only_public_names():
+    # cli is a client of the public API: every ``_self.<name>`` it reads is
+    # one of boxbc's exports or defined in cli itself
+    import boxbc
+    import boxbc.cli as cli
+
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    read = {
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "_self"
+    }
+    # top-level functions, classes and assignments (plain or annotated)
+    defined = {getattr(node, "name", None) for node in tree.body} | {
+        target.id for node in tree.body for target in getattr(node, "targets", [getattr(node, "target", None)])
+        if isinstance(target, ast.Name)
+    }
+    assert "betweenness" in read
+    assert sorted(read - set(boxbc.__all__) - defined) == []
+
+
+def test_computation_modules_leave_the_report_module_unloaded():
+    script = "\n".join([
+        "import sys",
+        "import boxbc.centrality, boxbc.product, boxbc.closedform",
+        "print('boxbc.report' in sys.modules)",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def _recorded_help() -> list:
@@ -493,8 +537,9 @@ _ROUTE_WATCH = ("boxbc.centrality", "boxbc.closedform", "boxbc.generators", "csv
         (["bc", "--factors", "{k2},{p3},{k2}", "--method", "factorized", "--format", "json"], ["json"]),
         (["bc", "--family", "grid", "3", "4", "--method", "closed-form"],
          ["boxbc.closedform", "boxbc.generators", "csv"]),
+        (["bc", "--factors", "{k2},{p3}"], ["boxbc.centrality", "csv"]),
     ],
-    ids=["factorized csv", "factorized json", "grid closed-form"],
+    ids=["factorized csv", "factorized json", "grid closed-form", "brandes csv"],
 )
 def test_route_loads_only_its_modules(tmp_path, argv, loaded):
     files = _write_factors(tmp_path)

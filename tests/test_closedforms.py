@@ -40,7 +40,7 @@ from boxbc.product import _profile
 
 
 def _uniform_value(g):
-    values = set(betweenness(g).values)
+    values = set(betweenness(g))
     assert len(values) == 1
     return values.pop()
 
@@ -172,7 +172,7 @@ def test_grid_formula():
         for n in range(1, 5):
             if m * n < 2:
                 continue
-            values = betweenness(grid(m, n)).values
+            values = betweenness(grid(m, n))
             for a in range(1, m + 1):
                 for b in range(1, n + 1):
                     assert grid_bc(m, n, a, b) == values[(a - 1) * n + (b - 1)]

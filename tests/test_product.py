@@ -88,7 +88,7 @@ def test_known_products():
     # P_2 x P_2 is a 4-cycle under the row-major labeling 0=(0,0) .. 3=(1,1).
     square = cartesian_product([path(2), path(2)]).graph
     assert square == graph_from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-    assert betweenness(square).values == betweenness(cycle(4)).values
+    assert betweenness(square) == betweenness(cycle(4))
     assert cartesian_product([complete(2)] * 3).graph == hypercube(3)
     assert cartesian_product([path(5)]).graph == path(5)
     q3 = cartesian_product([complete(2)] * 3).graph
@@ -231,7 +231,7 @@ def test_dependency_endpoints_and_validation():
 @settings(max_examples=25, deadline=None)
 def test_factorized_betweenness_matches_brandes(factors: list[Graph]):
     pg = cartesian_product(factors)
-    assert factorized_betweenness_all(pg.spec) == betweenness(pg.graph).values
+    assert factorized_betweenness_all(pg.spec) == betweenness(pg.graph)
 
 
 @given(random_factors())
@@ -239,7 +239,7 @@ def test_factorized_betweenness_matches_brandes(factors: list[Graph]):
 @settings(max_examples=40, deadline=None)
 def test_profile_route_matches_brandes_on_random_factors(factors: list[Graph]):
     pg = cartesian_product(factors)
-    expected = betweenness(pg.graph).values
+    expected = betweenness(pg.graph)
     assert factorized_betweenness_all(pg.spec) == expected
     last = pg.spec.vertex_count - 1
     assert factorized_betweenness(pg.spec, pg.spec.decode(last)) == expected[last]
@@ -264,7 +264,7 @@ def test_equal_factors_share_profiles(monkeypatch):
     # P_3 has two profiles (end, middle) and C_5 one, so the sorted classes
     # are {end, end}, {end, middle} and {middle, middle}
     assert calls == {"_profile": 8, "_class_betweenness": 3}
-    assert values == betweenness(cartesian_product(factors).graph).values
+    assert values == betweenness(cartesian_product(factors).graph)
 
 
 def test_factor_order_permutes_values():

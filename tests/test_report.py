@@ -31,7 +31,7 @@ def test_decimal_rendering():
 
 
 def test_csv_roundtrip_exact():
-    report = betweenness(grid(3, 3), descriptor="grid(3, 3)")
+    report = CentralityReport("brandes", "grid(3, 3)", betweenness(grid(3, 3)))
     decoded = values_from_csv(report_to_csv(report))
     assert tuple(decoded[str(i)] for i in range(9)) == report.values
 
@@ -42,7 +42,7 @@ def test_csv_header_required():
 
 
 def test_csv_coordinate_labels_quote_commas():
-    report = betweenness(torus(3, 3), descriptor="torus(3, 3)")
+    report = CentralityReport("brandes", "torus(3, 3)", betweenness(torus(3, 3)))
     labels = [f"({i // 3}, {i % 3})" for i in range(9)]
     text = report_to_csv(report, labels)
     assert '"(0, 1)"' in text
@@ -58,7 +58,7 @@ def test_uniform_report_row():
 
 
 def test_labels_validation():
-    report = betweenness(grid(2, 2), descriptor="grid(2, 2)")
+    report = CentralityReport("brandes", "grid(2, 2)", betweenness(grid(2, 2)))
     with pytest.raises(ValueError):
         report_to_csv(report, ["a", "b"])
     uniform = CentralityReport("closed-form", "g", (Fraction(1),), uniform=True)
@@ -67,7 +67,7 @@ def test_labels_validation():
 
 
 def test_json_roundtrip():
-    report = betweenness(grid(3, 3), descriptor="grid(3, 3)")
+    report = CentralityReport("brandes", "grid(3, 3)", betweenness(grid(3, 3)))
     assert report_from_json(report_to_json(report)) == report
     uniform = CentralityReport("closed-form", "torus(3, 4)", (Fraction(9, 2),), uniform=True)
     text = report_to_json(uniform)
