@@ -15,8 +15,8 @@ __version__ = "0.1.0"
 # command loads only the modules its route runs.
 _EXPORTS = {
     "centrality": "METHODS betweenness",
-    "closedform": "cycle_product_wiener cycle_wiener debruijn_count even_cycles_bc even_cycles_bc_alt grid_bc"
-    " hamming_bc hypercube_bc odd_cycles_bc torus_bc torus_bc_alt uniform_kn_bc",
+    "closedform": "cycle_product_wiener debruijn_count even_cycles_bc grid_bc hamming_bc hypercube_bc odd_cycles_bc"
+    " torus_bc",
     "edgelist": "format_edge_list load_graph parse_edge_list save_graph",
     "generators": "FAMILIES check_family complete cycle family_factors generate grid hamming hypercube path star torus",
     "graph": "DisconnectedGraphError GeodesicTable Graph GraphError all_pairs_tables average_distance"

@@ -142,7 +142,7 @@ def cmd_bc(args: argparse.Namespace) -> int:
         paths = _split_paths(args.factors)
         descriptor = " x ".join(paths)
         spec = _self.product_spec(_self.load_graph(p) for p in paths)
-        materialize = lambda: _self.cartesian_product(spec.factors).graph
+        materialize = lambda: _self.cartesian_product(spec).graph
     else:
         family, params = _family_request(args.family)
         descriptor = f"{family}({', '.join(map(str, params))})"

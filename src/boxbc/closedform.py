@@ -4,8 +4,7 @@ Each function evaluates an exact formula in the integer parameters of the
 family; no graph is built.  Cycles, tori and products of cycles of any parities
 share one formula: a product of cycles is vertex transitive, so every vertex
 carries ``(W - C(N, 2)) / N``, and its total distance W composes from one term
-per cycle.  The half-length forms of even-cycle products and tori are kept as
-independent checks of it.
+per cycle.
 """
 
 from __future__ import annotations
@@ -31,19 +30,6 @@ def hamming_bc(sizes) -> Fraction:
     r = len(sizes)
     inverse_sum = sum(Fraction(1, n) for n in sizes)
     return Fraction(prod(sizes), 2) * (r - 1 - inverse_sum) + HALF
-
-
-def uniform_kn_bc(n: int, r: int) -> Fraction:
-    """Betweenness in the r-fold product of one complete graph.
-
-    ``((r - 1) n^r - r n^(r-1) + 1) / 2``; agrees with :func:`hamming_bc` on
-    the repeated size list.
-    """
-    if not is_int(n) or n < 2:
-        raise GraphError(f"complete-graph size must be at least 2, got {n}")
-    if not is_int(r) or r < 1:
-        raise GraphError(f"exponent must be at least 1, got {r}")
-    return Fraction((r - 1) * n**r - r * n ** (r - 1) + 1, 2)
 
 
 def hypercube_bc(r: int) -> Fraction:
@@ -85,15 +71,6 @@ def even_cycles_bc(sizes) -> Fraction:
     return _cycle_product_bc(_check_cycle_sizes(sizes, "even"))
 
 
-def even_cycles_bc_alt(sizes) -> Fraction:
-    """Half-length form of :func:`even_cycles_bc`: with ``n_i = 2 k_i``,
-    ``2^(r-2) prod(k) (sum(k) - 2) + 1/2``."""
-    sizes = _check_cycle_sizes(sizes, "even")
-    halves = [n // 2 for n in sizes]
-    r = len(sizes)
-    return Fraction(2) ** (r - 2) * prod(halves) * (sum(halves) - 2) + HALF
-
-
 def odd_cycles_bc(sizes) -> Fraction:
     """Betweenness in a product of odd cycles: ``(prod(n) sum(n - 1/n) - 4 (prod(n) - 1)) / 8``."""
     return _cycle_product_bc(_check_cycle_sizes(sizes, "odd"))
@@ -103,25 +80,6 @@ def torus_bc(m: int, n: int) -> Fraction:
     """Betweenness in the two-cycle product ``C_m x C_n``, for any parities of ``m`` and ``n``."""
     check_family("torus", m, n)
     return _cycle_product_bc((m, n))
-
-
-def torus_bc_alt(m: int, n: int) -> Fraction:
-    """Half-length form of :func:`torus_bc`.
-
-    With ``m = 2k1(+1)`` and ``n = 2k2(+1)`` by parity: odd/odd is
-    ``k1 k2 (k1 + k2) + C(k1,2) + C(k2,2)``, even/even is
-    ``k1 k2 (k1 + k2 - 2) + 1/2``, odd/even is
-    ``k1 k2 (k1 + k2 - 1) + (k2 - 1)^2 / 2``.
-    """
-    check_family("torus", m, n)
-    if m % 2 == 0 and n % 2 == 1:
-        m, n = n, m
-    k1, k2 = m // 2, n // 2
-    if m % 2 == 1 and n % 2 == 1:
-        return Fraction(k1 * k2 * (k1 + k2) + comb(k1, 2) + comb(k2, 2))
-    if m % 2 == 0:
-        return k1 * k2 * (k1 + k2 - 2) + HALF
-    return k1 * k2 * (k1 + k2 - 1) + Fraction((k2 - 1) ** 2, 2)
 
 
 def grid_bc(m: int, n: int, a: int, b: int) -> Fraction:
@@ -150,13 +108,6 @@ def _path_profile(left: int, right: int) -> Profile:
             for b in range(high + 1):
                 coefficients[a, b] = coefficients.get((a, b), 0) + comb(a + b, a)
     return tuple(sorted((key, Fraction(c)) for key, c in coefficients.items()))
-
-
-def cycle_wiener(n: int) -> int:
-    """Wiener index of one cycle, ``n^2 (n - [n odd] / n) / 8``: ``n^3 / 8`` even, ``(n^3 - n) / 8`` odd."""
-    if not is_int(n) or n < 3:
-        raise GraphError(f"cycle length must be at least 3, got {n}")
-    return int(n * n * _cycle_term(n) / 8)
 
 
 def cycle_product_wiener(sizes) -> int:

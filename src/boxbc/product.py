@@ -86,7 +86,7 @@ class ProductSpec(Record):
 
     def coordinates(self) -> list[Coords]:
         """All coordinate vectors in vertex-id order."""
-        return [self.decode(vid) for vid in range(self.vertex_count)]
+        return list(itertools.product(*map(range, self.radices)))
 
     @cached_property
     def _neighbour_offsets(self) -> tuple[tuple[tuple[Offsets, Offsets], ...], ...]:
@@ -136,13 +136,15 @@ def product_spec(factors: Iterable[Graph]) -> ProductSpec:
     return ProductSpec(factors)
 
 
-def cartesian_product(factors: Iterable[Graph]) -> ProductGraph:
+def cartesian_product(factors: Iterable[Graph] | ProductSpec) -> ProductGraph:
     """Materialize the Cartesian product under the mixed-radix labeling.
 
     Two product vertices are adjacent when their coordinates differ in exactly
-    one position and that pair is an edge of the corresponding factor.
+    one position and that pair is an edge of the corresponding factor.  A
+    :class:`ProductSpec` from :func:`product_spec` is used as it is, so its
+    factors are not validated again.
     """
-    spec = product_spec(factors)
+    spec = factors if isinstance(factors, ProductSpec) else product_spec(factors)
     # A vertex's sorted offsets are its factor-i lower neighbours, then the
     # offsets of its suffix coordinates, then its factor-i upper neighbours
     # (see ProductSpec._neighbour_offsets), built from the last factor outwards.

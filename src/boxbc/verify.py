@@ -20,17 +20,13 @@ from .centrality import betweenness
 from .closedform import (
     _cycle_product_bc,
     cycle_product_wiener,
-    cycle_wiener,
     debruijn_count,
     even_cycles_bc,
-    even_cycles_bc_alt,
     grid_bc,
     hamming_bc,
     hypercube_bc,
     odd_cycles_bc,
     torus_bc,
-    torus_bc_alt,
-    uniform_kn_bc,
 )
 from .edgelist import format_edge_list, parse_edge_list
 from .generators import complete, cycle, grid, hamming, hypercube, path, star, torus
@@ -330,6 +326,7 @@ def _check_labeling_roundtrip() -> str:
     vertices = 0
     for label, factors in _product_multisets(64, 6):
         spec = product_spec(factors)
+        # coordinates() walks the radices in row-major order without encode or decode
         for vid, coords in enumerate(spec.coordinates()):
             if spec.encode(coords) != vid or spec.decode(vid) != coords:
                 raise CheckFailure(f"{label}: labeling broken at vertex {vid}")
@@ -507,6 +504,37 @@ def _check_associativity() -> str:
 # ---------------------------------------------------------------------------
 # closed-forms scope
 
+# Second closed forms, derived apart from closedform's and evaluated only here
+# as oracles for it: they share no name with closedform and check no input,
+# since every call below passes valid sizes.
+
+
+def _uniform_kn_bc(n: int, r: int) -> Fraction:
+    # Betweenness in the r-fold product of one complete graph:
+    # ((r - 1) n^r - r n^(r-1) + 1) / 2, hamming_bc on the repeated size list.
+    return Fraction((r - 1) * n**r - r * n ** (r - 1) + 1, 2)
+
+
+def _even_cycles_bc_alt(sizes: tuple[int, ...]) -> Fraction:
+    # Half-length form of even_cycles_bc: with n_i = 2 k_i,
+    # 2^(r-2) prod(k) (sum(k) - 2) + 1/2.
+    halves = [n // 2 for n in sizes]
+    return Fraction(2) ** (len(sizes) - 2) * prod(halves) * (sum(halves) - 2) + Fraction(1, 2)
+
+
+def _torus_bc_alt(m: int, n: int) -> Fraction:
+    # Half-length form of torus_bc.  With m = 2 k1 (+1) and n = 2 k2 (+1) by
+    # parity: odd/odd is k1 k2 (k1 + k2) + C(k1, 2) + C(k2, 2), even/even is
+    # k1 k2 (k1 + k2 - 2) + 1/2, odd/even is k1 k2 (k1 + k2 - 1) + (k2 - 1)^2 / 2.
+    if m % 2 == 0 and n % 2 == 1:
+        m, n = n, m
+    k1, k2 = m // 2, n // 2
+    if m % 2 == 1 and n % 2 == 1:
+        return Fraction(k1 * k2 * (k1 + k2) + comb(k1, 2) + comb(k2, 2))
+    if m % 2 == 0:
+        return k1 * k2 * (k1 + k2 - 2) + Fraction(1, 2)
+    return k1 * k2 * (k1 + k2 - 1) + Fraction((k2 - 1) ** 2, 2)
+
 
 def _family_sweep(label: str, g: Graph, expected: Fraction) -> None:
     for x, value in enumerate(betweenness(g)):
@@ -528,7 +556,7 @@ def _check_uniform_complete() -> str:
     cases = [(n, r) for n in range(2, 7) for r in range(1, 7) if n**r <= 64]
     for n, r in cases:
         want = hamming_bc([n] * r)
-        got = uniform_kn_bc(n, r)
+        got = _uniform_kn_bc(n, r)
         if got != want:
             raise CheckFailure(f"(n={n}, r={r}): uniform form {got} != general form {want}")
     return f"uniform specialization agrees on {len(cases)} (n, r) pairs"
@@ -539,7 +567,7 @@ def _check_hypercube() -> str:
     for r in range(1, 7):
         _family_sweep(f"Q_{r}", hypercube(r), hypercube_bc(r))
     for r in range(1, 9):
-        if not hypercube_bc(r) == uniform_kn_bc(2, r) == hamming_bc([2] * r):
+        if not hypercube_bc(r) == _uniform_kn_bc(2, r) == hamming_bc([2] * r):
             raise CheckFailure(f"Q_{r}: binary specializations disagree")
     return "binary-factor formula matches accumulation for r <= 6 and specializations for r <= 8"
 
@@ -585,7 +613,7 @@ def _check_even_cycles_alt() -> str:
     for sizes in _size_multisets(4, 12**3, step=2):
         if max(sizes) > 12 or len(sizes) > 3:
             continue
-        if even_cycles_bc(sizes) != even_cycles_bc_alt(sizes):
+        if even_cycles_bc(sizes) != _even_cycles_bc_alt(sizes):
             raise CheckFailure(f"C{list(sizes)}: the two even-cycle forms disagree")
         count += 1
     return f"both even-cycle forms agree on {count} size multisets"
@@ -603,7 +631,7 @@ def _check_torus() -> str:
             swept += 1
     for m in range(3, 13):
         for n in range(3, 13):
-            if torus_bc(m, n) != torus_bc_alt(m, n):
+            if torus_bc(m, n) != _torus_bc_alt(m, n):
                 raise CheckFailure(f"torus ({m},{n}): the two case forms disagree")
     return f"torus formula matches accumulation on {swept} size pairs and both forms agree to 12"
 
@@ -640,9 +668,9 @@ def _check_anchors() -> str:
         ("hamming_bc([3,4])", hamming_bc([3, 4]), Fraction(3)),
         ("hamming_bc([2,2,2])", hamming_bc([2, 2, 2]), Fraction(5, 2)),
         ("hamming_bc([5])", hamming_bc([5]), Fraction(0)),
-        ("uniform_kn_bc(2,3)", uniform_kn_bc(2, 3), Fraction(5, 2)),
-        ("uniform_kn_bc(3,2)", uniform_kn_bc(3, 2), Fraction(2)),
-        ("uniform_kn_bc(7,1)", uniform_kn_bc(7, 1), Fraction(0)),
+        ("_uniform_kn_bc(2,3)", _uniform_kn_bc(2, 3), Fraction(5, 2)),
+        ("_uniform_kn_bc(3,2)", _uniform_kn_bc(3, 2), Fraction(2)),
+        ("_uniform_kn_bc(7,1)", _uniform_kn_bc(7, 1), Fraction(0)),
         ("torus_bc(3,4)", torus_bc(3, 4), Fraction(9, 2)),
         ("torus_bc(4,6)", torus_bc(4, 6), Fraction(37, 2)),
         ("torus_bc(5,5)", torus_bc(5, 5), Fraction(18)),
@@ -656,9 +684,9 @@ def _check_anchors() -> str:
         ("grid_bc(3,3,2,2)", grid_bc(3, 3, 2, 2), Fraction(32, 3)),
         ("grid_bc(3,3,1,1)", grid_bc(3, 3, 1, 1), Fraction(4, 3)),
         ("grid_bc(1,5,1,3)", grid_bc(1, 5, 1, 3), Fraction(4)),
-        ("cycle_wiener(4)", cycle_wiener(4), 8),
-        ("cycle_wiener(5)", cycle_wiener(5), 15),
-        ("cycle_wiener(7)", cycle_wiener(7), 42),
+        ("cycle_product_wiener([4])", cycle_product_wiener([4]), 8),
+        ("cycle_product_wiener([5])", cycle_product_wiener([5]), 15),
+        ("cycle_product_wiener([7])", cycle_product_wiener([7]), 42),
         ("cycle_product_wiener([4,4])", cycle_product_wiener([4, 4]), 256),
         ("cycle_product_wiener([3,3])", cycle_product_wiener([3, 3]), 54),
         ("debruijn_count(2,2)", debruijn_count(2, 2), 6),
@@ -695,7 +723,7 @@ def _check_debruijn() -> str:
 def _check_cycle_wiener() -> str:
     for n in range(3, 21):
         want = wiener(cycle(n))
-        got = cycle_wiener(n)
+        got = cycle_product_wiener([n])
         if got != want:
             raise CheckFailure(f"C_{n}: formula {got} != BFS total {want}")
     return "cycle total distances match BFS for 3 <= n <= 20"

@@ -174,6 +174,26 @@ def test_bc_methods_agree_on_factors(capsys, tmp_path):
     assert outputs["brandes"][1] == "0,2/1"
 
 
+@pytest.mark.parametrize("method", ["brandes", "definitional"])
+def test_bc_factors_checks_each_factor_once(capsys, monkeypatch, tmp_path, method):
+    # the materialized routes build the product from the spec they validated,
+    # so each factor's connectivity is checked once, as on the factorized route
+    import boxbc.product as product
+
+    checked = []
+    original = product.require_connected
+
+    def counted(g):
+        checked.append(g)
+        return original(g)
+
+    monkeypatch.setattr(product, "require_connected", counted)
+    k2 = _write_factors(tmp_path)["k2"]
+    code, _, err = run_cli(capsys, "bc", "--factors", f"{k2},{k2},{k2}", "--method", method)
+    assert (code, err) == (0, "")
+    assert len(checked) == 3
+
+
 def test_bc_json_with_coordinate_labels(capsys):
     code, out, _ = run_cli(
         capsys, "bc", "--family", "torus", "3", "3", "--format", "json", "--labels", "coords"
@@ -396,13 +416,12 @@ def test_unknown_package_attribute_raises():
 PUBLIC_NAMES = """
     CentralityReport CheckResult DisconnectedGraphError FAMILIES GeodesicTable Graph GraphError METHODS
     ProductGraph ProductSpec SCOPES all_pairs_tables average_distance betweenness bfs_geodesics
-    cartesian_product check_family complete cycle cycle_product_wiener cycle_wiener debruijn_count diameter
-    distance even_cycles_bc even_cycles_bc_alt factorized_betweenness factorized_betweenness_all family_factors
+    cartesian_product check_family complete cycle cycle_product_wiener debruijn_count diameter
+    distance even_cycles_bc factorized_betweenness factorized_betweenness_all family_factors
     format_edge_list generate graph_from_edges grid grid_bc hamming hamming_bc hypercube hypercube_bc
     interval interval_membership is_connected is_geodetic load_graph odd_cycles_bc pair_dependency
     parse_edge_list path product_distance product_pair_dependency product_sigma product_spec product_wiener
-    report_to_csv report_to_json run_verify save_graph sigma sigma_through star torus torus_bc torus_bc_alt
-    uniform_kn_bc wiener
+    report_to_csv report_to_json run_verify save_graph sigma sigma_through star torus torus_bc wiener
 """.split()
 
 
@@ -410,7 +429,7 @@ def test_public_names_are_pinned():
     import boxbc
 
     # a move between modules must keep every public name, under the same spelling
-    assert len(PUBLIC_NAMES) == 64
+    assert len(PUBLIC_NAMES) == 60
     assert boxbc.__all__ == sorted(PUBLIC_NAMES)
     for name in PUBLIC_NAMES:
         assert getattr(boxbc, name) is not None

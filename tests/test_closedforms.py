@@ -12,10 +12,8 @@ from boxbc import (
     complete,
     cycle,
     cycle_product_wiener,
-    cycle_wiener,
     debruijn_count,
     even_cycles_bc,
-    even_cycles_bc_alt,
     factorized_betweenness_all,
     generate,
     grid,
@@ -31,12 +29,11 @@ from boxbc import (
     product_wiener,
     torus,
     torus_bc,
-    torus_bc_alt,
-    uniform_kn_bc,
     wiener,
 )
 from boxbc.closedform import _cycle_product_bc, _path_profile
 from boxbc.product import _profile
+from boxbc.verify import _even_cycles_bc_alt, _torus_bc_alt, _uniform_kn_bc
 
 
 def _uniform_value(g):
@@ -67,11 +64,7 @@ def test_hamming_validation():
 def test_uniform_kn_specializes_hamming():
     for n in range(2, 5):
         for r in range(1, 4):
-            assert uniform_kn_bc(n, r) == hamming_bc([n] * r)
-    with pytest.raises(GraphError):
-        uniform_kn_bc(1, 3)
-    with pytest.raises(GraphError):
-        uniform_kn_bc(3, 0)
+            assert _uniform_kn_bc(n, r) == hamming_bc([n] * r)
 
 
 def test_hypercube_formula():
@@ -107,7 +100,7 @@ def test_cycle_product_formulas():
         (hamming_bc, ([3, 1],), "hamming", (3, 1)),
         (hypercube_bc, (0,), "hypercube", (0,)),
         (torus_bc, (2, 5), "torus", (2, 5)),
-        (torus_bc_alt, (5, 2), "torus", (5, 2)),
+        (torus_bc, (5, 2), "torus", (5, 2)),
         (grid_bc, (0, 3, 1, 1), "grid", (0, 3)),
     ],
 )
@@ -135,7 +128,7 @@ def test_cycle_parity_validation():
 
 def test_even_cycles_alt_form():
     for sizes in ([4], [6], [8], [4, 4], [4, 6], [6, 6], [4, 4, 4]):
-        assert even_cycles_bc(sizes) == even_cycles_bc_alt(sizes)
+        assert even_cycles_bc(sizes) == _even_cycles_bc_alt(sizes)
 
 
 def test_torus_formula():
@@ -147,7 +140,7 @@ def test_torus_formula():
     for m in range(3, 6):
         for n in range(3, 6):
             assert torus_bc(m, n) == _uniform_value(torus(m, n))
-            assert torus_bc(m, n) == torus_bc_alt(m, n)
+            assert torus_bc(m, n) == _torus_bc_alt(m, n)
     with pytest.raises(GraphError):
         torus_bc(2, 5)
 
@@ -203,13 +196,13 @@ def test_grid_validation():
 
 
 def test_cycle_wiener_values():
-    assert cycle_wiener(4) == 8
-    assert cycle_wiener(5) == 15
-    assert cycle_wiener(7) == 42
+    assert cycle_product_wiener([4]) == 8
+    assert cycle_product_wiener([5]) == 15
+    assert cycle_product_wiener([7]) == 42
     for n in range(3, 12):
-        assert cycle_wiener(n) == wiener(cycle(n))
+        assert cycle_product_wiener([n]) == wiener(cycle(n))
     with pytest.raises(GraphError):
-        cycle_wiener(2)
+        cycle_product_wiener([2])
 
 
 def test_cycle_product_wiener_values():
@@ -242,9 +235,9 @@ def test_cycle_product_wiener_on_mixed_parities():
         (cycle_product_wiener, ([3, 4.0],)),
         (grid_bc, (3, 3, True, 1)),
         (grid_bc, (3, 3, 2, 2.0)),
-        (uniform_kn_bc, (2.0, 2)),
-        (uniform_kn_bc, (3, True)),
-        (cycle_wiener, (4.0,)),
+        (hamming_bc, ([2, 2.0],)),
+        (hamming_bc, ([True, 3],)),
+        (cycle_product_wiener, ([4.0],)),
         (debruijn_count, (True, 2)),
         (debruijn_count, (2, 2.0)),
     ],
@@ -274,4 +267,14 @@ def test_debruijn_counts():
 def test_complete_factor_degenerate():
     # A single complete factor is K_n: nothing lies between adjacent vertices.
     assert hamming_bc([7]) == 0
-    assert uniform_kn_bc(7, 1) == 0
+    assert _uniform_kn_bc(7, 1) == 0
+
+
+@pytest.mark.parametrize("oracle", [_uniform_kn_bc, _even_cycles_bc_alt, _torus_bc_alt])
+def test_verify_oracles_share_no_name_with_the_closed_forms(oracle):
+    # an oracle that called the formula it checks would agree with any bug in it
+    shared = {
+        "_cycle_product_bc", "_cycle_term", "_check_cycle_sizes", "hamming_bc", "hypercube_bc",
+        "even_cycles_bc", "odd_cycles_bc", "torus_bc", "HALF",
+    }
+    assert shared.isdisjoint(oracle.__code__.co_names)
