@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 # submodule on first access, so ``import boxbc`` loads no submodule and a
 # command loads only the modules its route runs.
 _EXPORTS = {
-    "centrality": "METHODS betweenness",
+    "centrality": "betweenness",
     "closedform": "cycle_product_wiener debruijn_count even_cycles_bc grid_bc hamming_bc hypercube_bc odd_cycles_bc"
     " torus_bc",
     "edgelist": "format_edge_list load_graph parse_edge_list save_graph",

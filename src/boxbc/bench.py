@@ -80,7 +80,7 @@ def run_bench(
         for method in methods:
             start = perf_counter()
             if method == "brandes":
-                betweenness(cartesian_product(factors).graph, method="brandes")
+                betweenness(cartesian_product(factors).graph)
             else:
                 factorized_betweenness_all(product_spec(factors))
             rows.append(BenchRow(label, n, method, perf_counter() - start))

@@ -1,14 +1,11 @@
 """Exact betweenness centrality of a materialized graph.
 
 Betweenness sums pair dependencies over unordered vertex pairs, so the whole
-vector of a graph obeys ``sum(B) == W - C(n, 2)`` exactly.  The two routes
-share one forward search, :func:`boxbc.graph.breadth_first`, and differ in
-accumulation: the definitional triple loop sums pair dependencies over the
-memoized geodesic tables, and Brandes-style accumulation sweeps each source's
-search backwards in integers: ``C(w) = L/sigma(w) + sum of C(y)`` over the
-children ``y`` of ``w`` with ``L = lcm(sigma)``, so the dependency of ``w`` is
-``(sigma(w)*C(w) - L) / L``; the sum over sources counts each pair twice and
-is halved.
+vector of a graph obeys ``sum(B) == W - C(n, 2)`` exactly.  :func:`betweenness`
+runs Brandes accumulation (Brandes 2001) over :func:`boxbc.graph.breadth_first`,
+kept exact in integers.  :func:`_definitional`, the definition's triple loop
+over the memoized geodesic tables, is the reference that ``verify`` and the
+tests check it against.
 """
 
 from __future__ import annotations
@@ -16,46 +13,14 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .graph import Graph, GraphError, all_pairs_tables, breadth_first, require_connected
+from .graph import Graph, all_pairs_tables, breadth_first, require_connected
 
-METHODS = ("definitional", "brandes")
 ZERO = Fraction(0)
 
 
-def betweenness(g: Graph, method: str = "brandes") -> tuple[Fraction, ...]:
-    """Exact betweenness of every vertex, over unordered pairs, in vertex-id order.
-
-    ``method`` selects the computation route; both return identical values.
-    """
+def betweenness(g: Graph) -> tuple[Fraction, ...]:
+    """Exact betweenness of every vertex, over unordered pairs, in vertex-id order."""
     require_connected(g)
-    if method == "definitional":
-        return _definitional(g)
-    if method == "brandes":
-        return _brandes(g)
-    raise GraphError(f"unknown betweenness method {method!r}; expected one of {METHODS}")
-
-
-def _definitional(g: Graph) -> tuple[Fraction, ...]:
-    # B(x) = sum over pairs {u, v} of sigma(u,x)*sigma(x,v)/sigma(u,v),
-    # restricted to x strictly between the endpoints.
-    n = g.vertex_count
-    tables = all_pairs_tables(g)
-    acc = [ZERO] * n
-    for u in range(n):
-        du = tables[u].dist
-        su = tables[u].sigma
-        for v in range(u + 1, n):
-            dv = tables[v].dist
-            sv = tables[v].sigma
-            duv = du[v]
-            suv = su[v]
-            for x in range(n):
-                if x != u and x != v and du[x] + dv[x] == duv:
-                    acc[x] += Fraction(su[x] * sv[x], suv)
-    return tuple(acc)
-
-
-def _brandes(g: Graph) -> tuple[Fraction, ...]:
     # Brandes accumulation kept exact in integers.  With c(w) = (1 + delta(w))
     # / sigma(w), the dependency recurrence becomes
     #     c(w) = 1/sigma(w) + sum of c(y) over the children y of w,
@@ -82,3 +47,24 @@ def _brandes(g: Graph) -> tuple[Fraction, ...]:
             scaled[w] = c
             row[w] += sigma[w] * c - scale
     return tuple(sum((Fraction(row[v], 2 * scale) for scale, row in sums.items()), ZERO) for v in range(n))
+
+
+def _definitional(g: Graph) -> tuple[Fraction, ...]:
+    """The reference :func:`betweenness` is checked against, on a connected ``g``."""
+    # B(x) = sum over pairs {u, v} of sigma(u,x)*sigma(x,v)/sigma(u,v),
+    # restricted to x strictly between the endpoints.
+    n = g.vertex_count
+    tables = all_pairs_tables(g)
+    acc = [ZERO] * n
+    for u in range(n):
+        du = tables[u].dist
+        su = tables[u].sigma
+        for v in range(u + 1, n):
+            dv = tables[v].dist
+            sv = tables[v].sigma
+            duv = du[v]
+            suv = su[v]
+            for x in range(n):
+                if x != u and x != v and du[x] + dv[x] == duv:
+                    acc[x] += Fraction(su[x] * sv[x], suv)
+    return tuple(acc)

@@ -6,13 +6,14 @@ distances, ``verify`` runs the cross-validation suites, and ``bench`` times
 the factorized route against materialized accumulation.
 
 Exit codes: 0 success, 1 usage error, 2 validation error, 3 verification
-failure.
+failure, 141 when the reader closes the output pipe early.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 from fractions import Fraction
 from functools import cache
@@ -32,8 +33,10 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_VERIFY = 3
+# what a shell reports for a writer killed by SIGPIPE: 128 + 13
+EXIT_BROKEN_PIPE = 141
 
-BC_METHODS = ("definitional", "brandes", "factorized", "closed-form")
+BC_METHODS = ("brandes", "factorized", "closed-form")
 
 
 class _UsageError(Exception):
@@ -160,7 +163,7 @@ def cmd_bc(args: argparse.Namespace) -> int:
     elif method == "factorized":
         values = _self.factorized_betweenness_all(spec)
     else:
-        values = _self.betweenness(materialize(), method=method)
+        values = _self.betweenness(materialize())
     # a closed form gives one value when it stands for every vertex
     uniform = not isinstance(values, tuple)
     report = _self.CentralityReport(method, descriptor, (values,) if uniform else values, uniform)
@@ -275,13 +278,23 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # the reader went away; that is not bad input, so console_main handles it
+        raise
     except (GraphError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
 
 def console_main() -> None:
-    code = main()
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (``| head``).  Point fd 1 at devnull so
+        # the exit flush of what stdout still buffers cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
     # Interpreter shutdown runs full collections over every live object, a
     # few milliseconds of a fast request.  Every output is written and closed
     # by now, so move the heap to the permanent generation, which those

@@ -8,13 +8,15 @@ closed-form reports use ``*`` as the vertex of their single row.  Callers may
 supply their own vertex labels (coordinate tuples, say); labels containing
 commas are quoted by the CSV layer.
 
-A request writes one format, so ``csv``, ``json`` and ``decimal`` are
-imported by the functions that use them, not by every request.
+A request writes one format, so ``csv`` and ``json`` are imported by the
+functions that use them, not by every request.  ``decimal`` is imported at
+the top: ``fractions`` has loaded it already.
 """
 
 from __future__ import annotations
 
 import io
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Sequence
 
@@ -56,14 +58,12 @@ def parse_fraction(text: str) -> Fraction:
 
 
 def decimal_str(value: Fraction) -> str:
-    from decimal import Decimal, localcontext
-
     with localcontext() as ctx:
         ctx.prec = DECIMAL_DIGITS
         return str(Decimal(value.numerator) / Decimal(value.denominator))
 
 
-def _vertex_labels(report: CentralityReport, labels: Sequence[str] | None) -> list[str]:
+def _vertex_labels(report: CentralityReport, labels: Sequence[str] | None) -> Sequence[str | int]:
     if labels is not None:
         if report.uniform:
             raise ValueError("uniform reports carry a single '*' row, not labels")
@@ -72,7 +72,7 @@ def _vertex_labels(report: CentralityReport, labels: Sequence[str] | None) -> li
         return list(labels)
     if report.uniform:
         return [UNIFORM_VERTEX]
-    return [str(i) for i in range(len(report.values))]
+    return range(len(report.values))
 
 
 def report_to_csv(report: CentralityReport, labels: Sequence[str] | None = None) -> str:
@@ -105,17 +105,12 @@ def report_to_json(report: CentralityReport, labels: Sequence[str] | None = None
     """The report as an indented ``{method, graph, values: [{vertex, num, den}]}`` JSON object."""
     import json
 
-    resolved = _vertex_labels(report, labels)
     payload: dict = {
         "method": report.method,
         "graph": report.graph,
         "values": [
-            {
-                "vertex": label if (report.uniform or labels is not None) else int(label),
-                "num": v.numerator,
-                "den": v.denominator,
-            }
-            for label, v in zip(resolved, report.values)
+            {"vertex": label, "num": v.numerator, "den": v.denominator}
+            for label, v in zip(_vertex_labels(report, labels), report.values)
         ],
     }
     if report.uniform:

@@ -16,7 +16,7 @@ from math import comb, factorial, prod
 from time import perf_counter
 from typing import Callable, Iterator
 
-from .centrality import betweenness
+from .centrality import _definitional, betweenness
 from .closedform import (
     _cycle_product_bc,
     cycle_product_wiener,
@@ -242,8 +242,8 @@ def _check_geodesic_tables() -> str:
 @_check("core", "method-agreement")
 def _check_method_agreement() -> str:
     for label, g in _core_instances():
-        by_def = betweenness(g, method="definitional")
-        by_brandes = betweenness(g, method="brandes")
+        by_def = _definitional(g)
+        by_brandes = betweenness(g)
         if by_def != by_brandes:
             x = next(i for i, (a, b) in enumerate(zip(by_def, by_brandes)) if a != b)
             raise CheckFailure(
@@ -458,8 +458,8 @@ def _check_betweenness_agreement() -> str:
         # the reversed factor order labels the same product differently
         for order in dict.fromkeys((factors, factors[::-1])):
             pg = _materialize(order)
-            by_brandes = betweenness(pg.graph, method="brandes")
-            by_def = betweenness(pg.graph, method="definitional")
+            by_brandes = betweenness(pg.graph)
+            by_def = _definitional(pg.graph)
             by_factors = factorized_betweenness_all(pg.spec)
             if not by_brandes == by_def == by_factors:
                 x = next(

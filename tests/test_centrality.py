@@ -28,6 +28,7 @@ from boxbc import (
     star,
     wiener,
 )
+from boxbc.centrality import _definitional
 from oracles import enumerated_betweenness, matrix_geodesics
 from strategies import connected_graphs
 
@@ -44,16 +45,16 @@ def test_known_vectors():
 def test_methods_agree_with_enumeration():
     for g in (path(5), cycle(6), star(4), complete(4), graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])):
         expected = enumerated_betweenness(g)
-        assert betweenness(g, method="definitional") == expected
-        assert betweenness(g, method="brandes") == expected
+        assert _definitional(g) == expected
+        assert betweenness(g) == expected
 
 
 @given(connected_graphs(max_vertices=8))
 @settings(max_examples=40)
 def test_methods_agree_everywhere(g: Graph):
     expected = enumerated_betweenness(g)
-    assert betweenness(g, method="definitional") == expected
-    assert betweenness(g, method="brandes") == expected
+    assert _definitional(g) == expected
+    assert betweenness(g) == expected
 
 
 def test_brandes_at_scale():
@@ -70,19 +71,18 @@ def test_brandes_at_scale():
 def test_tiny_graphs():
     for n, edges, expected_wiener in ((0, [], 0), (1, [], 0), (2, [(0, 1)], 1)):
         g = graph_from_edges(n, edges)
-        for method in ("brandes", "definitional"):
-            values = betweenness(g, method=method)
+        for values in (betweenness(g), _definitional(g)):
             assert values == (0,) * n
             assert all(type(v) is Fraction for v in values)
         assert wiener(g) == expected_wiener
 
 
-def test_method_dispatch():
-    with pytest.raises(GraphError):
-        betweenness(path(3), method="approximate")
-    # the default route is Brandes, and every route returns a plain tuple
-    assert betweenness(path(3)) == betweenness(path(3), method="brandes") == (0, 1, 0)
-    assert type(betweenness(path(3), method="definitional")) is tuple
+def test_betweenness_takes_no_method():
+    # Brandes is the one route; the definitional loop is only its reference
+    with pytest.raises(TypeError):
+        betweenness(path(3), method="definitional")
+    assert _definitional(path(3)) == betweenness(path(3)) == (0, 1, 0)
+    assert type(_definitional(path(3))) is tuple
 
 
 def test_disconnected_rejected():

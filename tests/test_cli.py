@@ -166,17 +166,17 @@ def test_bc_methods_agree_on_factors(capsys, tmp_path):
     k3.write_text("n 3\n0 1\n0 2\n1 2\n")
     spec = f"{k3},{k3}"
     outputs = {}
-    for method in ("definitional", "brandes", "factorized"):
+    for method in ("brandes", "factorized"):
         code, out, _ = run_cli(capsys, "bc", "--factors", spec, "--method", method)
         assert code == 0
         outputs[method] = [line.rsplit(",", 1)[0] for line in out.splitlines()]
-    assert outputs["definitional"] == outputs["brandes"] == outputs["factorized"]
+    assert outputs["brandes"] == outputs["factorized"]
     assert outputs["brandes"][1] == "0,2/1"
 
 
-@pytest.mark.parametrize("method", ["brandes", "definitional"])
+@pytest.mark.parametrize("method", ["brandes"])
 def test_bc_factors_checks_each_factor_once(capsys, monkeypatch, tmp_path, method):
-    # the materialized routes build the product from the spec they validated,
+    # the materialized route builds the product from the spec it validated,
     # so each factor's connectivity is checked once, as on the factorized route
     import boxbc.product as product
 
@@ -206,7 +206,7 @@ def test_bc_json_with_coordinate_labels(capsys):
 
 def test_every_method_builds_one_report(capsys):
     values = {}
-    for method in ("definitional", "brandes", "factorized", "closed-form"):
+    for method in ("brandes", "factorized", "closed-form"):
         code, out, err = run_cli(capsys, "bc", "--family", "grid", "2", "3", "--format", "json", "--method", method)
         assert code == 0, err
         payload = json.loads(out)
@@ -214,7 +214,7 @@ def test_every_method_builds_one_report(capsys):
         assert "uniform" not in payload
         values[method] = payload["values"]
     assert len(values["brandes"]) == 6
-    assert values["definitional"] == values["brandes"] == values["factorized"] == values["closed-form"]
+    assert values["brandes"] == values["factorized"] == values["closed-form"]
 
 
 @pytest.mark.parametrize(
@@ -256,6 +256,10 @@ def test_bc_usage_errors(capsys, tmp_path):
     assert run_cli(capsys, "bc", "--factors", missing, "--method", "closed-form") == (
         1, "", "usage error: --method closed-form needs --family\n")
     assert run_cli(capsys, "bc", "--family", "cycle", "4", "--labels", "coords")[0] == 1
+    # the definitional loop is verify's reference, not a route
+    assert run_cli(capsys, "bc", "--family", "path", "3", "--method", "definitional") == (1, "", (
+        "usage error: argument --method: invalid choice: 'definitional'"
+        " (choose from 'brandes', 'factorized', 'closed-form')\n"))
     assert run_cli(capsys, "bc", "--family", "star", "3", "--method", "closed-form")[0] == 2
     assert run_cli(capsys, "bc", str(tmp_path / "nope.el"))[0] == 2
 
@@ -273,7 +277,7 @@ def test_coordinate_labels_refuse_a_plain_input_before_any_work(capsys, monkeypa
         [str(tmp_path / "q9.el")],
         ["--family", "cycle", "4"],
         ["--family", "path", "5", "--method", "closed-form"],
-        ["--family", "star", "3", "--method", "definitional"],
+        ["--family", "star", "3", "--method", "brandes"],
     ):
         assert run_cli(capsys, "bc", *argv, "--labels", "coords") == (1, "", message)
 
@@ -414,7 +418,7 @@ def test_unknown_package_attribute_raises():
 
 
 PUBLIC_NAMES = """
-    CentralityReport CheckResult DisconnectedGraphError FAMILIES GeodesicTable Graph GraphError METHODS
+    CentralityReport CheckResult DisconnectedGraphError FAMILIES GeodesicTable Graph GraphError
     ProductGraph ProductSpec SCOPES all_pairs_tables average_distance betweenness bfs_geodesics
     cartesian_product check_family complete cycle cycle_product_wiener debruijn_count diameter
     distance even_cycles_bc factorized_betweenness factorized_betweenness_all family_factors
@@ -429,7 +433,7 @@ def test_public_names_are_pinned():
     import boxbc
 
     # a move between modules must keep every public name, under the same spelling
-    assert len(PUBLIC_NAMES) == 60
+    assert len(PUBLIC_NAMES) == 59
     assert boxbc.__all__ == sorted(PUBLIC_NAMES)
     for name in PUBLIC_NAMES:
         assert getattr(boxbc, name) is not None
@@ -659,6 +663,16 @@ def test_frozen_exit_writes_everything(tmp_path):
     written = subprocess.run([*command, "-o", str(target)], capture_output=True, env=_buffered_env())
     assert (written.returncode, written.stdout, written.stderr) == (0, b"", b"")
     assert target.read_bytes() == expected
+
+
+def test_closed_output_pipe_exits_quietly():
+    # a reader that stops early (``| head -1``) is no validation error: the
+    # writer exits 141, as a shell reports one killed by SIGPIPE, and says nothing
+    command = [sys.executable, "-m", "boxbc", "gen", "hypercube", "13"]
+    with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_buffered_env()) as proc:
+        assert proc.stdout.readline() == b"n 8192\n"
+        proc.stdout.close()
+        assert (proc.wait(timeout=60), proc.stderr.read()) == (141, b"")
 
 
 _FAILING_VERIFY = "\n".join([
