@@ -1,20 +1,21 @@
 """Closed-form betweenness and Wiener values for product families.
 
 Each function evaluates an exact formula in the integer parameters of the
-family; no graph is built.  Cycles, tori and products of cycles of any parities
-share one formula: a product of cycles is vertex transitive, so every vertex
-carries ``(W - C(N, 2)) / N``, and its total distance W composes from one term
-per cycle.
+family, except ``grid_bc``, which reads the grid's values off its two paths'
+distance profiles; no product graph is built.  Cycles, tori and products of
+cycles of any parities share one formula: a product of cycles is vertex
+transitive, so every vertex carries ``(W - C(N, 2)) / N``, and its total
+distance W composes from one term per cycle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import factorial, prod
 
-from .generators import check_family
+from .generators import check_family, family_factors
 from .graph import GraphError, is_int
-from .product import Profile, _class_betweenness
+from .product import factorized_betweenness, product_spec
 
 HALF = Fraction(1, 2)
 
@@ -85,29 +86,13 @@ def torus_bc(m: int, n: int) -> Fraction:
 def grid_bc(m: int, n: int, a: int, b: int) -> Fraction:
     """Betweenness of the vertex at 1-indexed position ``(a, b)`` in an m x n grid.
 
-    The grid is a product of two paths: the value is one product of the
-    closed-form path profiles of positions ``(a - 1, m - a)`` and
-    ``(b - 1, n - b)``, with no graph and no BFS table.
+    The grid is the product of two paths, so this is the factorized value at
+    coordinates ``(a - 1, b - 1)``, read off the two paths' distance profiles.
     """
     check_family("grid", m, n)
     if not (is_int(a) and is_int(b) and 1 <= a <= m and 1 <= b <= n):
         raise GraphError(f"position ({a}, {b}) outside grid 1..{m} x 1..{n}")
-    return _class_betweenness((_path_profile(a - 1, m - a), _path_profile(b - 1, n - b)))
-
-
-def _path_profile(left: int, right: int) -> Profile:
-    """:func:`boxbc.product._profile` of a path vertex with ``left`` and ``right`` vertices on its sides.
-
-    A path has one geodesic per pair, so the profile is ``S(left, right) +
-    S(right, left) - 1`` with ``S(L, R) = sum_{a<=L, b<=R} C(a+b, a) x^a y^b``;
-    the pair of the vertex with itself is in both sums.
-    """
-    coefficients: dict[tuple[int, int], int] = {(0, 0): -1}
-    for low, high in ((left, right), (right, left)):
-        for a in range(low + 1):
-            for b in range(high + 1):
-                coefficients[a, b] = coefficients.get((a, b), 0) + comb(a + b, a)
-    return tuple(sorted((key, Fraction(c)) for key, c in coefficients.items()))
+    return factorized_betweenness(product_spec(family_factors("grid", m, n)), (a - 1, b - 1))
 
 
 def cycle_product_wiener(sizes) -> int:

@@ -12,10 +12,10 @@ Betweenness goes one step further.  With ``a_i = d(u_i,x_i)``,
 ``(u, v)`` on ``x`` is ``A! B! / (A+B)!`` times the product over factors of
 ``sigma(u_i,x_i) sigma(x_i,v_i) / sigma(u_i,v_i) * C(a_i+b_i, a_i)``.  So each
 factor vertex gets a distance profile, a polynomial in ``(a, b)`` summing its
-factor terms, built in ``O(n_i^3)`` per factor; a product vertex's betweenness
-is read off the product of its coordinates' profiles.  Equal profiles share
-one id, so the value depends only on the sorted ids, and a vertex-transitive
-product needs a single polynomial product.
+factor terms; a product vertex's betweenness is one integral over ``[0, 1]``
+of the product of its coordinates' profiles on the line ``(t, 1 - t)``.
+Equal profiles share one id, so the value depends only on the sorted ids, and
+a vertex-transitive product needs a single class.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cached_property
-from math import comb, lcm, prod
+from math import comb, gcd, lcm, prod
 from typing import Iterable, Iterator, Sequence
 
 from .graph import GeodesicTable, Graph, GraphError, all_pairs_tables, is_vertex_id, require_connected, wiener
@@ -31,7 +31,7 @@ from .record import Record
 
 Coords = tuple[int, ...]
 Offsets = tuple[int, ...]
-Profile = tuple[tuple[tuple[int, int], Fraction], ...]
+Profile = tuple[tuple[int, ...], tuple[int, ...], int]
 ZERO = Fraction(0)
 
 
@@ -235,13 +235,14 @@ def product_pair_dependency(spec: ProductSpec, u: Sequence[int], v: Sequence[int
 
 
 def _profile(tables: Sequence[GeodesicTable], x: int) -> Profile:
-    """Distance profile of factor vertex ``x``: a polynomial in ``(a, b)``.
+    """Distance profile of factor vertex ``x`` on the line ``(t, 1 - t)``.
 
-    Sums ``sigma(u,x) * sigma(x,v) / sigma(u,v) * C(a+b, a)`` over the ordered
-    factor pairs ``(u, v)`` with ``x`` on a ``u``-``v`` geodesic, keyed by
-    ``a = d(u,x)`` and ``b = d(x,v)``.  The pair ``(x, x)`` gives the constant
-    term 1.  Returned as sorted ``((a, b), coefficient)`` items, so equal
-    profiles compare and hash equal whatever graph they came from.
+    The profile ``P`` sums ``sigma(u,x) * sigma(x,v) / sigma(u,v) * C(a+b, a)
+    x^a y^b`` over the ordered factor pairs ``(u, v)`` with ``x`` on a
+    ``u``-``v`` geodesic, where ``a = d(u,x)`` and ``b = d(x,v)``.  Returns
+    ``(p, e, den)``: the coefficients in ``t`` of ``den * P(t, 1-t)`` and of
+    ``den * EP(t, 1-t)``, with ``E`` weighting each term by ``a + b``.  They
+    are in lowest terms, so equal profiles hash equal across graphs.
     """
     tx = tables[x]
     x_dist, x_sigma = tx.dist, tx.sigma
@@ -254,36 +255,45 @@ def _profile(tables: Sequence[GeodesicTable], x: int) -> Profile:
             if a + b == d_uv:
                 key = (a, b, s_uv)
                 sums[key] = sums.get(key, 0) + s_ux * s_xv
-    coefficients: dict[tuple[int, int], Fraction] = {}
+    den = lcm(*(s_uv for _, _, s_uv in sums))
+    degree = max(a + b for a, b, _ in sums)
+    rows = [[0] * (degree + 1) for _ in range(degree + 1)]  # rows[b][a]: den times the x^a y^b coefficient
     for (a, b, s_uv), num in sums.items():
-        coefficients[a, b] = coefficients.get((a, b), ZERO) + Fraction(num * comb(a + b, a), s_uv)
-    return tuple(sorted(coefficients.items()))
+        rows[b][a] += num * comb(a + b, a) * (den // s_uv)
+    # Horner's rule in y = 1 - t; every partial sum has degree at most ``degree``
+    p = e = [0] * (degree + 1)
+    for b in range(degree, -1, -1):
+        p = [c - d + r for c, d, r in zip(p, [0, *p], rows[b])]
+        e = [c - d + (a + b) * r for a, (c, d, r) in enumerate(zip(e, [0, *e], rows[b]))]
+    g = gcd(den, *p, *e)
+    return tuple(c // g for c in p), tuple(c // g for c in e), den // g
+
+
+def _times(f: Sequence[int], g: Sequence[int]) -> list[int]:
+    out = [0] * (len(f) + len(g) - 1)
+    for i, c in enumerate(f):
+        for j, d in enumerate(g, i):
+            out[j] += c * d
+    return out
 
 
 def _class_betweenness(profiles: Iterable[Profile]) -> Fraction:
     """Betweenness of a product vertex whose coordinates have these profiles.
 
-    Multiplies the profiles; the coefficient at ``(A, B)`` then sums
-    ``sigma(u,x) * sigma(x,v) / sigma(u,v) * C(A+B, A)`` over the ordered
-    product pairs at those distances from ``x``.  Dividing by ``C(A+B, A)``
-    and halving over ``A, B > 0`` gives the sum over unordered pairs that
-    avoid ``x``.  Coefficients are scaled to integers for the product.
+    The product ``F`` of the profiles sums ``sigma(u,x) * sigma(x,v) /
+    sigma(u,v) * C(A+B, A) x^A y^B`` over the ordered product pairs.  Since
+    ``1 / C(A+B, A) = (A+B+1) * integral_0^1 t^A (1-t)^B dt``, the sum over
+    unordered pairs that avoid ``x`` is ``(integral_0^1 (F + EF)(t, 1-t) dt -
+    F(0,1) - F(1,0) + 1) / 2``; ``E`` is a derivation, so ``(F, EF)``
+    multiplies through the profiles as a dual number.
     """
-    poly = {(0, 0): 1}
-    scale = 1
-    for profile in profiles:
-        den = lcm(*(c.denominator for _, c in profile))
+    f, ef, scale = [1], [0], 1
+    for p, e, den in profiles:
+        f, ef = _times(f, p), [c + d for c, d in zip(_times(ef, p), _times(f, e))]
         scale *= den
-        terms = [(a, b, c.numerator * (den // c.denominator)) for (a, b), c in profile]
-        step: dict[tuple[int, int], int] = {}
-        for (a0, b0), c0 in poly.items():
-            for a, b, c in terms:
-                key = (a0 + a, b0 + b)
-                step[key] = step.get(key, 0) + c0 * c
-        poly = step
-    inner = [(comb(a + b, a), c) for (a, b), c in poly.items() if a and b]
-    common = lcm(*(binomial for binomial, _ in inner))
-    return Fraction(sum(c * (common // binomial) for binomial, c in inner), 2 * common * scale)
+    common = lcm(*range(1, len(f) + 1))
+    integral = sum((c + d) * (common // k) for k, (c, d) in enumerate(zip(f, ef), 1))
+    return Fraction(integral - common * (f[0] + sum(f) - scale), 2 * common * scale)
 
 
 def factorized_betweenness(spec: ProductSpec, x: Sequence[int]) -> Fraction:

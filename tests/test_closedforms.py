@@ -6,7 +6,6 @@ import pytest
 
 from boxbc import (
     GraphError,
-    all_pairs_tables,
     betweenness,
     cartesian_product,
     complete,
@@ -31,8 +30,7 @@ from boxbc import (
     torus_bc,
     wiener,
 )
-from boxbc.closedform import _cycle_product_bc, _path_profile
-from boxbc.product import _profile
+from boxbc.closedform import _cycle_product_bc
 from boxbc.verify import _even_cycles_bc_alt, _torus_bc_alt, _uniform_kn_bc
 
 
@@ -169,14 +167,6 @@ def test_grid_formula():
             for a in range(1, m + 1):
                 for b in range(1, n + 1):
                     assert grid_bc(m, n, a, b) == values[(a - 1) * n + (b - 1)]
-
-
-def test_path_profile_closed_form():
-    # all 91 positions of P_1 .. P_13, each against the profile built from BFS tables
-    for k in range(1, 14):
-        tables = all_pairs_tables(path(k))
-        for x in range(k):
-            assert _path_profile(x, k - 1 - x) == _profile(tables, x), (k, x)
 
 
 def test_grid_formula_matches_factorized_route():

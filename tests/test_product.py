@@ -3,7 +3,7 @@ from __future__ import annotations
 import tracemalloc
 from fractions import Fraction
 from itertools import permutations
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -236,6 +236,11 @@ def test_factorized_betweenness_matches_brandes(factors: list[Graph]):
 
 @given(random_factors())
 @example([cycle(4), path(1), star(2)])
+# P_8^3 (512 vertices, 56 classes) and P_6 x C_7 x star_3 reach a product
+# degree D = sum of diameters (21 and 10) that random_factors never draws, where
+# the alternating signs of the (1 - t)^b expansions cancel over many terms
+@example([path(8)] * 3)
+@example([path(6), cycle(7), star(3)])
 @settings(max_examples=40, deadline=None)
 def test_profile_route_matches_brandes_on_random_factors(factors: list[Graph]):
     pg = cartesian_product(factors)
@@ -243,6 +248,19 @@ def test_profile_route_matches_brandes_on_random_factors(factors: list[Graph]):
     assert factorized_betweenness_all(pg.spec) == expected
     last = pg.spec.vertex_count - 1
     assert factorized_betweenness(pg.spec, pg.spec.decode(last)) == expected[last]
+
+
+@given(random_factors())
+@settings(max_examples=40, deadline=None)
+def test_profiles_are_in_lowest_terms(factors: list[Graph]):
+    for f in factors:
+        tables = all_pairs_tables(f)
+        for x in range(f.vertex_count):
+            p, e, den = boxbc.product._profile(tables, x)
+            assert den > 0 and gcd(den, *p, *e) == 1
+    # so equal profiles intern to one id across graphs: an end of P_3 and a leaf of star_2
+    end = boxbc.product._profile(all_pairs_tables(path(3)), 0)
+    assert end == boxbc.product._profile(all_pairs_tables(star(2)), 1)
 
 
 def test_equal_factors_share_profiles(monkeypatch):
