@@ -16,7 +16,6 @@ import gc
 import os
 import sys
 from fractions import Fraction
-from functools import cache
 from typing import Callable, Sequence
 
 from . import _EXPORTS, _bind_on_first_use
@@ -87,22 +86,17 @@ def _family_request(values: list[str]) -> tuple[str, list[int]]:
     return family, params
 
 
-def _grid_closed_form(m: int, n: int) -> tuple[Fraction, ...]:
-    # positions mirrored across either middle line share a value, so grid_bc
-    # runs once per mirror class (a, b) with a <= (m + 1) / 2, b <= (n + 1) / 2
-    value = cache(lambda a, b: _self.grid_bc(m, n, a, b))
-    return tuple(value(min(a, m + 1 - a), min(b, n + 1 - b)) for a in range(1, m + 1) for b in range(1, n + 1))
-
-
 # family -> closed form: a value per vertex, or one value for every vertex
 _CLOSED_FORMS: dict[str, Callable[..., Fraction | tuple[Fraction, ...]]] = {
-    "grid": _grid_closed_form,
-    "path": lambda n: _CLOSED_FORMS["grid"](1, n),
+    "grid": lambda m, n: _self.factorized_betweenness_all(_self.product_spec(_self.family_factors("grid", m, n))),
+    # a path is geodetic: vertex i lies on the one geodesic of each of its i * (n - 1 - i) separated pairs
+    "path": lambda n: tuple(Fraction(i * (n - 1 - i)) for i in range(n)),
     "hypercube": lambda r: _self.hypercube_bc(r),
     "hamming": lambda *sizes: _self.hamming_bc(sizes),
     "torus": lambda m, n: _self.torus_bc(m, n),
     "cycle": lambda n: _self.even_cycles_bc([n]) if n % 2 == 0 else _self.odd_cycles_bc([n]),
-    "complete": lambda n: Fraction(0) if n == 1 else _self.hamming_bc([n]),
+    # K_n has diameter 1, so no vertex lies between two others
+    "complete": lambda n: Fraction(0),
 }
 
 

@@ -18,7 +18,6 @@ from boxbc import (
     format_edge_list,
     graph_from_edges,
     grid,
-    grid_bc,
     hypercube,
     parse_edge_list,
     path,
@@ -124,9 +123,14 @@ def test_bc_closed_form_grid_positions(capsys):
         ["cycle", "6"],
         ["complete", "4"],
         ["complete", "1"],
+        ["complete", "2"],
         ["path", "5"],
         ["path", "1"],
+        ["path", "2"],
+        ["path", "30"],
         ["grid", "3", "4"],
+        ["grid", "1", "7"],
+        ["grid", "2", "9"],
     ],
     ids=" ".join,
 )
@@ -526,20 +530,39 @@ def test_invalid_choice_of_lazy_subcommand(capsys, argv, choices):
     assert all(repr(c) in err for c in choices)
 
 
-def test_grid_closed_form_evaluates_each_mirror_class_once(capsys, monkeypatch):
+def test_grid_closed_form_is_one_factorized_pass(capsys, monkeypatch):
     import boxbc.cli as cli
 
     calls = []
+    factorized = cli.factorized_betweenness_all
 
-    def counted(m, n, a, b):
-        calls.append((a, b))
-        return grid_bc(m, n, a, b)
+    def counted(spec):
+        calls.append(spec.radices)
+        return factorized(spec)
 
-    monkeypatch.setattr(cli, "grid_bc", counted)
+    def refused(*args):
+        raise AssertionError("the grid closed form evaluates no position on its own")
+
+    monkeypatch.setattr(cli, "factorized_betweenness_all", counted)
+    monkeypatch.setattr(cli, "grid_bc", refused)
     code, closed, _ = run_cli(capsys, "bc", "--family", "grid", "8", "5", "--method", "closed-form")
     assert code == 0
-    assert sorted(calls) == [(a, b) for a in range(1, 5) for b in range(1, 4)]
+    assert calls == [(8, 5)]
     assert run_cli(capsys, "bc", "--family", "grid", "8", "5", "--method", "factorized")[1] == closed
+
+
+def test_path_closed_form_searches_nothing(capsys, monkeypatch):
+    import boxbc.graph
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the path closed form runs no search")
+
+    monkeypatch.setattr(boxbc.graph, "breadth_first", refused)
+    code, out, err = run_cli(capsys, "bc", "--family", "path", "300", "--method", "closed-form")
+    assert code == 0, err
+    values = values_from_csv(out)
+    assert len(values) == 300
+    assert all(values[str(i)] == i * (299 - i) for i in range(300))
 
 
 def _write_factors(directory: Path) -> dict[str, str]:
@@ -558,8 +581,7 @@ _ROUTE_WATCH = ("boxbc.centrality", "boxbc.closedform", "boxbc.generators", "csv
     [
         (["bc", "--factors", "{k2},{p3},{k2}", "--method", "factorized"], ["csv"]),
         (["bc", "--factors", "{k2},{p3},{k2}", "--method", "factorized", "--format", "json"], ["json"]),
-        (["bc", "--family", "grid", "3", "4", "--method", "closed-form"],
-         ["boxbc.closedform", "boxbc.generators", "csv"]),
+        (["bc", "--family", "grid", "3", "4", "--method", "closed-form"], ["boxbc.generators", "csv"]),
         (["bc", "--factors", "{k2},{p3}"], ["boxbc.centrality", "csv"]),
     ],
     ids=["factorized csv", "factorized json", "grid closed-form", "brandes csv"],
@@ -579,8 +601,8 @@ def test_route_loads_only_its_modules(tmp_path, argv, loaded):
 
 
 # one request per name that perfbench/traced_child.py wraps on ``cli``; it also
-# wraps path, cycle and complete, which no command calls
-_UNCALLED = {"path", "cycle", "complete"}
+# wraps path, cycle, complete and grid_bc, which no command calls
+_UNCALLED = {"path", "cycle", "complete", "grid_bc"}
 _TRACED_REQUESTS = {
     "betweenness": ("bc", "--factors", "{p3},{p3}"),
     "wiener": ("wiener", "{p3}"),
@@ -597,7 +619,6 @@ _TRACED_REQUESTS = {
     "torus_bc": ("bc", "--family", "torus", "3", "4", "--method", "closed-form"),
     "even_cycles_bc": ("bc", "--family", "cycle", "6", "--method", "closed-form"),
     "odd_cycles_bc": ("bc", "--family", "cycle", "5", "--method", "closed-form"),
-    "grid_bc": ("bc", "--family", "grid", "3", "4", "--method", "closed-form"),
 }
 
 
