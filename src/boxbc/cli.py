@@ -143,11 +143,12 @@ def cmd_bc(args: argparse.Namespace) -> int:
     else:
         family, params = _family_request(args.family)
         descriptor = f"{family}({', '.join(map(str, params))})"
-        factors = _self.family_factors(family, *params)
+        # a closed form reads only the parameters; coordinate labels need the factors
+        factors = None if method == "closed-form" and args.labels != "coords" else _self.family_factors(family, *params)
         if method == "factorized" and factors is None:
             raise _UsageError("--method factorized needs --factors or a product family")
         spec = None if factors is None else _self.product_spec(factors)
-        materialize = lambda: _self.generate(family, *params)
+        materialize = lambda: _self.generate(family, *params) if spec is None else _self.cartesian_product(spec).graph
 
     if args.labels == "coords" and spec is None:
         raise _UsageError("--labels coords needs a product input (--factors or a product family)")

@@ -2,10 +2,11 @@
 
 Each function evaluates an exact formula in the integer parameters of the
 family, except ``grid_bc``, which reads the grid's values off its two paths'
-distance profiles; no product graph is built.  Cycles, tori and products of
-cycles of any parities share one formula: a product of cycles is vertex
-transitive, so every vertex carries ``(W - C(N, 2)) / N``, and its total
-distance W composes from one term per cycle.
+distance profiles; no product graph is built.  The uniform families share
+one identity: on a vertex-transitive graph of N vertices every vertex
+carries ``(W - C(N, 2)) / N`` of the total distance W, and on a Cartesian
+product ``W / N^2`` is the sum of the factors' shares ``W(G_i) / n_i^2``
+(Yeh & Gutman 1994).  A family supplies only its factors' shares.
 """
 
 from __future__ import annotations
@@ -17,7 +18,10 @@ from .generators import check_family, family_factors
 from .graph import GraphError, is_int
 from .product import factorized_betweenness, product_spec
 
-HALF = Fraction(1, 2)
+
+def _transitive_bc(n: int, share: Fraction) -> Fraction:
+    """Betweenness of every vertex of a vertex-transitive graph on ``n`` vertices with ``W / n^2 = share``."""
+    return n * share - Fraction(n - 1, 2)
 
 
 def hamming_bc(sizes) -> Fraction:
@@ -28,15 +32,13 @@ def hamming_bc(sizes) -> Fraction:
     """
     sizes = tuple(sizes)
     check_family("hamming", *sizes)
-    r = len(sizes)
-    inverse_sum = sum(Fraction(1, n) for n in sizes)
-    return Fraction(prod(sizes), 2) * (r - 1 - inverse_sum) + HALF
+    return _transitive_bc(prod(sizes), sum(Fraction(n - 1, 2 * n) for n in sizes))
 
 
 def hypercube_bc(r: int) -> Fraction:
     """Betweenness in the r-cube: ``(r - 2) 2^(r-2) + 1/2``."""
     check_family("hypercube", r)
-    return (r - 2) * Fraction(2) ** (r - 2) + HALF
+    return _transitive_bc(2**r, Fraction(r, 4))
 
 
 def _check_cycle_sizes(sizes, parity: str | None = None) -> tuple[int, ...]:
@@ -51,20 +53,14 @@ def _check_cycle_sizes(sizes, parity: str | None = None) -> tuple[int, ...]:
     return sizes
 
 
-def _cycle_term(n: int) -> Fraction:
-    """``n - [n odd] / n``, which is ``8 W(C_n) / n^2``: one cycle's share of every cycle formula."""
-    return n - Fraction(n % 2, n)
+def _cycle_share(sizes: tuple[int, ...]) -> Fraction:
+    """``W / N^2`` of a product of cycles: each ``C_n`` adds ``W(C_n) / n^2 = (n - [n odd] / n) / 8``."""
+    return sum(n - Fraction(n % 2, n) for n in sizes) / 8
 
 
 def _cycle_product_bc(sizes: tuple[int, ...]) -> Fraction:
-    """Betweenness of every vertex of a product of cycles of any parities.
-
-    With ``N = prod(n)`` the total distance is ``W = N^2 sum(t) / 8`` over the
-    per-cycle terms ``t``; the product is vertex transitive, so each vertex
-    carries ``(W - C(N, 2)) / N = (N sum(t) - 4 (N - 1)) / 8``.
-    """
-    p = prod(sizes)
-    return (p * sum(map(_cycle_term, sizes)) - 4 * (p - 1)) / 8
+    """Betweenness of every vertex of a product of cycles of any parities."""
+    return _transitive_bc(prod(sizes), _cycle_share(sizes))
 
 
 def even_cycles_bc(sizes) -> Fraction:
@@ -98,8 +94,7 @@ def grid_bc(m: int, n: int, a: int, b: int) -> Fraction:
 def cycle_product_wiener(sizes) -> int:
     """Wiener index of a product of cycles of any parities: ``prod(n)^2 sum(n - [n odd] / n) / 8``."""
     sizes = _check_cycle_sizes(sizes)
-    p = prod(sizes)
-    value = p * p * sum(map(_cycle_term, sizes)) / 8
+    value = prod(sizes) ** 2 * _cycle_share(sizes)
     assert value.denominator == 1
     return value.numerator
 

@@ -16,6 +16,8 @@ the top: ``fractions`` has loaded it already.
 from __future__ import annotations
 
 import io
+import sys
+from contextlib import contextmanager
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Sequence
@@ -63,6 +65,20 @@ def decimal_str(value: Fraction) -> str:
         return str(Decimal(value.numerator) / Decimal(value.denominator))
 
 
+@contextmanager
+def _uncapped_int_text():
+    # Python 3.10.7+ writes no int of more than 4,300 digits as text, and an exact value
+    # may be longer; only report writers lift the cap, so parsing input keeps the guard
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if cap:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if cap:
+            sys.set_int_max_str_digits(cap)
+
+
 def _vertex_labels(report: CentralityReport, labels: Sequence[str] | None) -> Sequence[str | int]:
     if labels is not None:
         if report.uniform:
@@ -82,8 +98,9 @@ def report_to_csv(report: CentralityReport, labels: Sequence[str] | None = None)
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["vertex", "betweenness", "decimal"])
-    for label, value in zip(_vertex_labels(report, labels), report.values):
-        writer.writerow([label, fraction_str(value), decimal_str(value)])
+    with _uncapped_int_text():
+        for label, value in zip(_vertex_labels(report, labels), report.values):
+            writer.writerow([label, fraction_str(value), decimal_str(value)])
     return out.getvalue()
 
 
@@ -115,7 +132,8 @@ def report_to_json(report: CentralityReport, labels: Sequence[str] | None = None
     }
     if report.uniform:
         payload["uniform"] = True
-    return json.dumps(payload, indent=2) + "\n"
+    with _uncapped_int_text():
+        return json.dumps(payload, indent=2) + "\n"
 
 
 def report_from_json(text: str) -> CentralityReport:

@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from boxbc import (
     format_edge_list,
     graph_from_edges,
     grid,
+    hamming_bc,
     hypercube,
     parse_edge_list,
     path,
@@ -178,10 +180,19 @@ def test_bc_methods_agree_on_factors(capsys, tmp_path):
     assert outputs["brandes"][1] == "0,2/1"
 
 
-@pytest.mark.parametrize("method", ["brandes"])
-def test_bc_factors_checks_each_factor_once(capsys, monkeypatch, tmp_path, method):
-    # the materialized route builds the product from the spec it validated,
-    # so each factor's connectivity is checked once, as on the factorized route
+@pytest.mark.parametrize(
+    "argv, factors",
+    [
+        pytest.param(["--factors", "{k2},{k2},{k2}"], 3, id="brandes"),
+        pytest.param(["--family", "torus", "4", "5"], 2, id="brandes torus"),
+        pytest.param(["--family", "hypercube", "5"], 5, id="brandes hypercube"),
+        pytest.param(["--family", "grid", "8", "10", "--method", "closed-form"], 2, id="grid closed-form"),
+    ],
+)
+def test_bc_factors_checks_each_factor_once(capsys, monkeypatch, tmp_path, argv, factors):
+    # the materialized route builds the product from the spec it validated, and
+    # the grid closed form reads only its own spec, so each factor's
+    # connectivity is checked once, as on the factorized route
     import boxbc.product as product
 
     checked = []
@@ -192,10 +203,10 @@ def test_bc_factors_checks_each_factor_once(capsys, monkeypatch, tmp_path, metho
         return original(g)
 
     monkeypatch.setattr(product, "require_connected", counted)
-    k2 = _write_factors(tmp_path)["k2"]
-    code, _, err = run_cli(capsys, "bc", "--factors", f"{k2},{k2},{k2}", "--method", method)
+    files = _write_factors(tmp_path)
+    code, _, err = run_cli(capsys, "bc", *(a.format(**files) for a in argv))
     assert (code, err) == (0, "")
-    assert len(checked) == 3
+    assert len(checked) == factors
 
 
 def test_bc_json_with_coordinate_labels(capsys):
@@ -563,6 +574,44 @@ def test_path_closed_form_searches_nothing(capsys, monkeypatch):
     values = values_from_csv(out)
     assert len(values) == 300
     assert all(values[str(i)] == i * (299 - i) for i in range(300))
+
+
+@pytest.mark.parametrize("sizes", [(2000,), (100000, 100000)], ids=["hamming 2000", "hamming 100000 100000"])
+def test_uniform_closed_form_builds_nothing(capsys, monkeypatch, sizes):
+    # a uniform closed form reads only the parameters, so it answers at any size
+    import boxbc.generators
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a uniform closed form builds no graph")
+
+    # complete too: a route that built K_n would otherwise list its n(n-1)/2 edges first
+    for name in ("graph_from_edges", "complete"):
+        monkeypatch.setattr(boxbc.generators, name, refused)
+    code, out, err = run_cli(capsys, "bc", "--family", "hamming", *map(str, sizes), "--method", "closed-form")
+    assert (code, err) == (0, "")
+    assert values_from_csv(out) == {"*": hamming_bc(sizes)}
+
+
+def test_exact_values_print_past_the_int_digit_cap(capsys, tmp_path):
+    # (r - 2) 2^(r-2) + 1/2 at r = 15000 has a numerator of 4,520 digits
+    numerator = 14998 * 2**14999 + 1
+    code, out, err = run_cli(capsys, "bc", "--family", "hypercube", "15000", "--method", "closed-form")
+    assert (code, err) == (0, "")
+    exact = out.splitlines()[1].split(",")[1]
+    assert int(Decimal(exact.split("/")[0])) == numerator and exact.endswith("/2")
+    code, out, err = run_cli(
+        capsys, "bc", "--family", "hypercube", "15000", "--method", "closed-form", "--format", "json"
+    )
+    assert (code, err) == (0, "")
+    value = json.loads(out, parse_int=Decimal)["values"][0]
+    assert (int(value["num"]), value["den"]) == (numerator, 2)
+    if hasattr(sys, "get_int_max_str_digits"):
+        # the cap is lifted only while the report is written: input parsing keeps it
+        big = tmp_path / "big.el"
+        token = "1" * 5000
+        big.write_text(f"n 2\n0 {token}\n")
+        code, _, err = run_cli(capsys, "bc", str(big))
+        assert (code, err) == (2, f"error: line 2: {token!r} is not an integer\n")
 
 
 def _write_factors(directory: Path) -> dict[str, str]:

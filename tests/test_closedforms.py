@@ -72,6 +72,8 @@ def test_hypercube_formula():
     assert hypercube_bc(4) == Fraction(17, 2)
     for r in range(1, 5):
         assert hypercube_bc(r) == _uniform_value(hypercube(r))
+    for r in (64, 20000):
+        assert hypercube_bc(r) == (r - 2) * 2 ** (r - 2) + Fraction(1, 2)
     with pytest.raises(GraphError):
         hypercube_bc(0)
 
@@ -265,6 +267,6 @@ def test_verify_oracles_share_no_name_with_the_closed_forms(oracle):
     # an oracle that called the formula it checks would agree with any bug in it
     shared = {
         "_cycle_product_bc", "_cycle_term", "_check_cycle_sizes", "hamming_bc", "hypercube_bc",
-        "even_cycles_bc", "odd_cycles_bc", "torus_bc", "HALF",
+        "even_cycles_bc", "odd_cycles_bc", "torus_bc", "HALF", "_transitive_bc", "_cycle_share",
     }
     assert shared.isdisjoint(oracle.__code__.co_names)
