@@ -15,10 +15,9 @@ __version__ = "0.1.0"
 # command loads only the modules its route runs.
 _EXPORTS = {
     "centrality": "betweenness",
-    "closedform": "cycle_product_wiener debruijn_count even_cycles_bc grid_bc hamming_bc hypercube_bc odd_cycles_bc"
-    " torus_bc",
     "edgelist": "format_edge_list load_graph parse_edge_list save_graph",
-    "generators": "FAMILIES check_family complete cycle family_factors generate grid hamming hypercube path star torus",
+    "generators": "FAMILIES check_family complete cycle cycle_product_wiener debruijn_count even_cycles_bc family_factors"
+    " generate grid grid_bc hamming hamming_bc hypercube hypercube_bc odd_cycles_bc path star torus torus_bc",
     "graph": "DisconnectedGraphError GeodesicTable Graph GraphError all_pairs_tables average_distance"
     " bfs_geodesics diameter distance graph_from_edges interval is_connected is_geodetic pair_dependency"
     " sigma sigma_through wiener",

@@ -99,6 +99,10 @@ _CLOSED_FORMS: dict[str, Callable[..., Fraction | tuple[Fraction, ...]]] = {
     "complete": lambda n: Fraction(0),
 }
 
+# the product families whose closed form is one value for every vertex, so
+# ``--labels coords`` is refused before their factors are built
+_UNIFORM_PRODUCTS = ("hypercube", "hamming", "torus")
+
 
 def _closed_form(family: str, params: list[int]) -> Fraction | tuple[Fraction, ...]:
     _self.check_family(family, *params)
@@ -143,6 +147,9 @@ def cmd_bc(args: argparse.Namespace) -> int:
     else:
         family, params = _family_request(args.family)
         descriptor = f"{family}({', '.join(map(str, params))})"
+        if method == "closed-form" and args.labels == "coords" and family in _UNIFORM_PRODUCTS:
+            _self.check_family(family, *params)
+            raise _UsageError("a uniform report has a single '*' row; coordinate labels do not apply")
         # a closed form reads only the parameters; coordinate labels need the factors
         factors = None if method == "closed-form" and args.labels != "coords" else _self.family_factors(family, *params)
         if method == "factorized" and factors is None:
@@ -163,11 +170,7 @@ def cmd_bc(args: argparse.Namespace) -> int:
     uniform = not isinstance(values, tuple)
     report = _self.CentralityReport(method, descriptor, (values,) if uniform else values, uniform)
 
-    labels = None
-    if args.labels == "coords":
-        if uniform:
-            raise _UsageError("a uniform report has a single '*' row; coordinate labels do not apply")
-        labels = [str(c) for c in spec.coordinates()]
+    labels = [str(c) for c in spec.coordinates()] if args.labels == "coords" else None
 
     text = _self.report_to_csv(report, labels) if args.format == "csv" else _self.report_to_json(report, labels)
     _emit(text, args.output)

@@ -66,14 +66,7 @@ class ProductSpec(Record):
         return prod(self.radices)
 
     def encode(self, coords: Sequence[int]) -> int:
-        if len(coords) != len(self.factors):
-            raise GraphError(f"expected {len(self.factors)} coordinates, got {len(coords)}")
-        vid = 0
-        for c, radix, stride in zip(coords, self.radices, self.strides):
-            if not is_vertex_id(c, radix):
-                raise GraphError(f"coordinate {c} out of range 0..{radix - 1}")
-            vid += c * stride
-        return vid
+        return sum(c * stride for c, stride in zip(_check_coords(self, coords), self.strides))
 
     def decode(self, vid: int) -> Coords:
         if not is_vertex_id(vid, self.vertex_count):
@@ -156,8 +149,15 @@ def cartesian_product(factors: Iterable[Graph] | ProductSpec) -> ProductGraph:
 
 
 def _check_coords(spec: ProductSpec, coords: Sequence[int]) -> Coords:
-    spec.encode(coords)
-    return tuple(coords)
+    """The one coordinate check: ``coords`` as a tuple, or :class:`GraphError`."""
+    coords = tuple(coords)
+    if len(coords) != len(spec.factors):
+        raise GraphError(f"expected {len(spec.factors)} coordinates, got {len(coords)}")
+    for c, radix in zip(coords, spec.radices):
+        # the exact-int test settles almost every call before is_vertex_id's two isinstance checks
+        if not (type(c) is int and 0 <= c < radix or is_vertex_id(c, radix)):
+            raise GraphError(f"coordinate {c} out of range 0..{radix - 1}")
+    return coords
 
 
 def _multinomial(parts: Iterable[int]) -> int:

@@ -17,19 +17,11 @@ from time import perf_counter
 from typing import Callable, Iterator
 
 from .centrality import _definitional, betweenness
-from .closedform import (
-    _cycle_product_bc,
-    cycle_product_wiener,
-    debruijn_count,
-    even_cycles_bc,
-    grid_bc,
-    hamming_bc,
-    hypercube_bc,
-    odd_cycles_bc,
-    torus_bc,
-)
 from .edgelist import format_edge_list, parse_edge_list
-from .generators import complete, cycle, grid, hamming, hypercube, path, star, torus
+from .generators import (
+    _cycle_product_bc, complete, cycle, cycle_product_wiener, debruijn_count, even_cycles_bc, grid, grid_bc,
+    hamming, hamming_bc, hypercube, hypercube_bc, odd_cycles_bc, path, star, torus, torus_bc,
+)
 from .graph import (
     Graph,
     GraphError,
@@ -310,10 +302,10 @@ def _check_geodetic_flags() -> str:
     for label, g, want in expected:
         if is_geodetic(g) is not want:
             raise CheckFailure(f"{label}: is_geodetic = {not want}, expected {want}")
-        tables = all_pairs_tables(g)
-        unique = all(s == 1 for t in tables for s in t.sigma)
-        if unique is not want:
-            raise CheckFailure(f"{label}: geodesic counts disagree with flag")
+        # geodetic exactly when every interval is one path: two distinct u-v geodesics differ in an inner vertex
+        n = g.vertex_count
+        if all(len(interval(g, u, v)) == distance(g, u, v) + 1 for u in range(n) for v in range(u)) is not want:
+            raise CheckFailure(f"{label}: interval sizes disagree with flag")
     return f"geodetic classification correct on {len(expected)} graphs"
 
 
@@ -504,9 +496,9 @@ def _check_associativity() -> str:
 # ---------------------------------------------------------------------------
 # closed-forms scope
 
-# Second closed forms, derived apart from closedform's and evaluated only here
-# as oracles for it: they share no name with closedform and check no input,
-# since every call below passes valid sizes.
+# Second closed forms, derived apart from those in generators and evaluated
+# only here as oracles for them: they share no name with the formulas they
+# check and check no input, since every call below passes valid sizes.
 
 
 def _uniform_kn_bc(n: int, r: int) -> Fraction:

@@ -501,7 +501,7 @@ def test_cli_reads_only_public_names():
 def test_computation_modules_leave_the_report_module_unloaded():
     script = "\n".join([
         "import sys",
-        "import boxbc.centrality, boxbc.product, boxbc.closedform",
+        "import boxbc.centrality, boxbc.product, boxbc.generators",
         "print('boxbc.report' in sys.modules)",
     ])
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
@@ -592,6 +592,34 @@ def test_uniform_closed_form_builds_nothing(capsys, monkeypatch, sizes):
     assert values_from_csv(out) == {"*": hamming_bc(sizes)}
 
 
+@pytest.mark.parametrize("request_", [["hamming", "1500"], ["hypercube", "12"], ["torus", "5", "7"]], ids=" ".join)
+def test_uniform_closed_form_refuses_coordinates_before_building(capsys, monkeypatch, request_):
+    # the family name tells that the report has one '*' row, so no factor is built to learn it
+    import boxbc.generators
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a refused request builds no factor")
+
+    for name in ("complete", "cycle"):
+        monkeypatch.setattr(boxbc.generators, name, refused)
+    argv = ("bc", "--family", *request_, "--method", "closed-form", "--labels", "coords")
+    message = "usage error: a uniform report has a single '*' row; coordinate labels do not apply\n"
+    assert run_cli(capsys, *argv) == (1, "", message)
+    # bad parameters are still a validation error first
+    bad = ("bc", "--family", request_[0], "0", *request_[2:], "--method", "closed-form", "--labels", "coords")
+    assert run_cli(capsys, *bad)[0] == 2
+
+
+def test_uniform_products_are_the_product_closed_forms_with_one_value():
+    # cli refuses coordinate labels from this table, before any closed form runs
+    import boxbc.cli as cli
+    import boxbc.generators as generators
+
+    least = {f: [generators._RULES[f][2]] * (generators._RULES[f][1] or 1) for f in generators._FACTORS}
+    uniform = {f for f, params in least.items() if not isinstance(cli._closed_form(f, params), tuple)}
+    assert uniform == set(cli._UNIFORM_PRODUCTS)
+
+
 def test_exact_values_print_past_the_int_digit_cap(capsys, tmp_path):
     # (r - 2) 2^(r-2) + 1/2 at r = 15000 has a numerator of 4,520 digits
     numerator = 14998 * 2**14999 + 1
@@ -622,7 +650,7 @@ def _write_factors(directory: Path) -> dict[str, str]:
 
 
 # watched modules a route may load; each request loads exactly the listed ones
-_ROUTE_WATCH = ("boxbc.centrality", "boxbc.closedform", "boxbc.generators", "csv", "json")
+_ROUTE_WATCH = ("boxbc.centrality", "boxbc.generators", "csv", "json")
 
 
 @pytest.mark.parametrize(

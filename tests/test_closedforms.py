@@ -30,7 +30,7 @@ from boxbc import (
     torus_bc,
     wiener,
 )
-from boxbc.closedform import _cycle_product_bc
+from boxbc.generators import _cycle_product_bc
 from boxbc.verify import _even_cycles_bc_alt, _torus_bc_alt, _uniform_kn_bc
 
 

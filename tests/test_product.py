@@ -18,6 +18,7 @@ from boxbc import (
     cli,
     complete,
     cycle,
+    diameter,
     factorized_betweenness,
     factorized_betweenness_all,
     format_edge_list,
@@ -82,6 +83,49 @@ def test_coordinates_and_ids_follow_the_vertex_id_rule(bad):
         product_distance(spec, (bad, 0), (0, 0))
     with pytest.raises(GraphError, match="out of range"):
         product_distance(spec, (0, 0), (0, bad))
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ((True, 0), "coordinate True out of range 0..2"),
+        ((1.0, 0), "coordinate 1.0 out of range 0..2"),
+        ((1,), "expected 2 coordinates, got 1"),
+        ((3, 0), "coordinate 3 out of range 0..2"),
+        ((0, -1), "coordinate -1 out of range 0..1"),
+    ],
+    ids=["bool", "float", "short", "too large", "negative"],
+)
+def test_bad_coordinates_keep_their_messages(bad, message):
+    spec = product_spec([path(3), path(2)])
+    good, other = (0, 0), (2, 1)
+    queries = [
+        lambda: spec.encode(bad),
+        lambda: product_distance(spec, bad, good),
+        lambda: product_distance(spec, good, bad),
+        lambda: product_sigma(spec, good, bad),
+        lambda: interval_membership(spec, good, other, bad),
+        lambda: product_pair_dependency(spec, bad, other, good),
+        lambda: product_pair_dependency(spec, good, other, bad),
+        lambda: factorized_betweenness(spec, bad),
+    ]
+    for query in queries:
+        with pytest.raises(GraphError) as raised:
+            query()
+        assert str(raised.value) == message
+
+
+def test_int_subclass_coordinates_are_accepted():
+    class Coordinate(int):
+        pass
+
+    spec = product_spec([path(3), path(2)])
+    v = (Coordinate(2), Coordinate(1))
+    assert spec.encode(v) == 5
+    assert product_distance(spec, (0, 0), v) == 3
+    assert product_sigma(spec, v, (0, 0)) == 3
+    assert interval_membership(spec, (0, 0), v, (Coordinate(1), 0))
+    assert product_pair_dependency(spec, (0, 0), v, (1, 0)) == Fraction(2, 3)
 
 
 def test_known_products():
@@ -261,6 +305,18 @@ def test_profiles_are_in_lowest_terms(factors: list[Graph]):
     # so equal profiles intern to one id across graphs: an end of P_3 and a leaf of star_2
     end = boxbc.product._profile(all_pairs_tables(path(3)), 0)
     assert end == boxbc.product._profile(all_pairs_tables(star(2)), 1)
+
+
+def test_profile_shorter_than_the_factor_diameter():
+    # P_5 with a pendant at its centre: the pendant's eccentricity 3 is below
+    # the diameter 4, so its profile has degree 3 where the factor reaches 4
+    spur = graph_from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)])
+    assert diameter(spur) == 4
+    p, e, den = boxbc.product._profile(all_pairs_tables(spur), 5)
+    assert len(p) == len(e) == 4
+    for other in (complete(2), path(3), spur):
+        pg = cartesian_product([spur, other])
+        assert factorized_betweenness_all(pg.spec) == betweenness(pg.graph)
 
 
 def test_equal_factors_share_profiles(monkeypatch):
