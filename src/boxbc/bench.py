@@ -16,9 +16,8 @@ from typing import Iterator, Sequence
 
 from .centrality import betweenness
 from .generators import family_factors
-from .graph import Graph, GraphError
+from .graph import Graph, GraphError, Record
 from .product import cartesian_product, factorized_betweenness_all, product_spec
-from .record import Record
 
 # family -> (least ladder size, instance label, parameter count); rung m is
 # the family instance whose parameters all equal m

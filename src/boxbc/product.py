@@ -14,8 +14,8 @@ Betweenness goes one step further.  With ``a_i = d(u_i,x_i)``,
 factor vertex gets a distance profile, a polynomial in ``(a, b)`` summing its
 factor terms; a product vertex's betweenness is one integral over ``[0, 1]``
 of the product of its coordinates' profiles on the line ``(t, 1 - t)``.
-Equal profiles share one id, so the value depends only on the sorted ids, and
-a vertex-transitive product needs a single class.
+Equal pair sums share one id and one profile, so the value depends only on
+the sorted ids, and a vertex-transitive product needs a single class.
 """
 
 from __future__ import annotations
@@ -26,12 +26,12 @@ from functools import cached_property
 from math import comb, gcd, lcm, prod
 from typing import Iterable, Iterator, Sequence
 
-from .graph import GeodesicTable, Graph, GraphError, all_pairs_tables, is_vertex_id, require_connected, wiener
-from .record import Record
+from .graph import GeodesicTable, Graph, GraphError, Record, all_pairs_tables, is_vertex_id, require_connected, wiener
 
 Coords = tuple[int, ...]
 Offsets = tuple[int, ...]
 Profile = tuple[tuple[int, ...], tuple[int, ...], int]
+Sums = frozenset[tuple[tuple[int, int, int], int]]
 ZERO = Fraction(0)
 
 
@@ -234,19 +234,13 @@ def product_pair_dependency(spec: ProductSpec, u: Sequence[int], v: Sequence[int
     return Fraction(_sigma(tables, u, x) * _sigma(tables, x, v), _sigma(tables, u, v))
 
 
-def _profile(tables: Sequence[GeodesicTable], x: int) -> Profile:
-    """Distance profile of factor vertex ``x`` on the line ``(t, 1 - t)``.
+def _sums(tables: Sequence[GeodesicTable], x: int) -> Sums:
+    """Pair sums of factor vertex ``x``, hashable so that equal ones share one :func:`_profile`.
 
-    The profile ``P`` sums ``sigma(u,x) * sigma(x,v) / sigma(u,v) * C(a+b, a)
-    x^a y^b`` over the ordered factor pairs ``(u, v)`` with ``x`` on a
-    ``u``-``v`` geodesic, where ``a = d(u,x)`` and ``b = d(x,v)``.  Returns
-    ``(p, e, den)``: the coefficients in ``t`` of ``den * P(t, 1-t)`` and of
-    ``den * EP(t, 1-t)``, with ``E`` weighting each term by ``a + b``.  They
-    are in lowest terms, so equal profiles hash equal across graphs.
+    Maps ``(a, b, sigma(u,v))`` to the sum of ``sigma(u,x) * sigma(x,v)`` over the ordered factor pairs
+    ``(u, v)`` with ``x`` on a geodesic, ``a = d(u,x)`` and ``b = d(x,v)``; the n^2 loop builds no Fraction.
     """
-    tx = tables[x]
-    x_dist, x_sigma = tx.dist, tx.sigma
-    # integer sums keyed by (a, b, sigma(u,v)), so the n^2 loop never builds a Fraction
+    x_dist, x_sigma = tables[x].dist, tables[x].sigma
     sums: dict[tuple[int, int, int], int] = {}
     for tu in tables:
         a = tu.dist[x]
@@ -255,10 +249,20 @@ def _profile(tables: Sequence[GeodesicTable], x: int) -> Profile:
             if a + b == d_uv:
                 key = (a, b, s_uv)
                 sums[key] = sums.get(key, 0) + s_ux * s_xv
-    den = lcm(*(s_uv for _, _, s_uv in sums))
-    degree = max(a + b for a, b, _ in sums)
+    return frozenset(sums.items())
+
+
+def _profile(sums: Sums) -> Profile:
+    """Distance profile on the line ``(t, 1 - t)`` of a factor vertex with these :func:`_sums`.
+
+    The profile ``P`` sums ``sigma(u,x) * sigma(x,v) / sigma(u,v) * C(a+b, a) x^a y^b`` over those pairs.
+    Returns ``(p, e, den)``: the coefficients in ``t`` of ``den * P(t, 1-t)`` and of ``den * EP(t, 1-t)``,
+    ``E`` weighting each term by ``a + b``, in lowest terms so that equal profiles hash equal across graphs.
+    """
+    den = lcm(*(s_uv for (_, _, s_uv), _ in sums))
+    degree = max(a + b for (a, b, _), _ in sums)
     rows = [[0] * (degree + 1) for _ in range(degree + 1)]  # rows[b][a]: den times the x^a y^b coefficient
-    for (a, b, s_uv), num in sums.items():
+    for (a, b, s_uv), num in sums:
         rows[b][a] += num * comb(a + b, a) * (den // s_uv)
     # Horner's rule in y = 1 - t; every partial sum has degree at most ``degree``
     p = e = [0] * (degree + 1)
@@ -303,23 +307,23 @@ def factorized_betweenness(spec: ProductSpec, x: Sequence[int]) -> Fraction:
     geodesic tables; the product graph is never materialized or searched.
     """
     x = _check_coords(spec, x)
-    return _class_betweenness(_profile(all_pairs_tables(f), c) for f, c in zip(spec.factors, x))
+    return _class_betweenness(_profile(_sums(all_pairs_tables(f), c)) for f, c in zip(spec.factors, x))
 
 
 def factorized_betweenness_all(spec: ProductSpec) -> tuple[Fraction, ...]:
     """Betweenness of every product vertex, one profile product per class.
 
-    Profiles are built once per distinct factor and interned by content, so
-    a vertex's class is the sorted tuple of its coordinates' profile ids.
-    Values are memoized per class and listed in vertex-id order.
+    Pair sums are built once per distinct factor and interned by content, and
+    each distinct one expands to one profile; a vertex's class is the sorted
+    tuple of its coordinates' ids.  Values are memoized and listed by vertex id.
     """
-    ids: dict[Profile, int] = {}
+    ids: dict[Sums, int] = {}
     by_factor: dict[Graph, tuple[int, ...]] = {}
     for f in spec.factors:
         if f not in by_factor:
             tables = all_pairs_tables(f)
-            by_factor[f] = tuple(ids.setdefault(_profile(tables, x), len(ids)) for x in range(f.vertex_count))
-    profiles = tuple(ids)
+            by_factor[f] = tuple(ids.setdefault(_sums(tables, x), len(ids)) for x in range(f.vertex_count))
+    profiles = tuple(map(_profile, ids))
     memo: dict[tuple[int, ...], Fraction] = {}
     values = []
     for coordinate_ids in itertools.product(*(by_factor[f] for f in spec.factors)):

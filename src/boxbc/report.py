@@ -22,7 +22,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Sequence
 
-from .record import Record
+from .graph import Record
 
 UNIFORM_VERTEX = "*"
 DECIMAL_DIGITS = 12

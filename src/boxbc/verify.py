@@ -25,6 +25,7 @@ from .generators import (
 from .graph import (
     Graph,
     GraphError,
+    Record,
     all_pairs_tables,
     average_distance,
     diameter,
@@ -46,7 +47,6 @@ from .product import (
     product_spec,
     product_wiener,
 )
-from .record import Record
 from .report import CentralityReport, report_from_json, report_to_csv, report_to_json, values_from_csv
 
 SCOPES = ("core", "products", "closed-forms", "sum-identity", "cli", "all")
@@ -755,7 +755,7 @@ def _sum_identity_instances() -> tuple[tuple[str, Graph], ...]:
 def _check_totals() -> str:
     # Summing dependencies by pair instead of by vertex gives d(u,v) - 1
     # per pair, so the betweenness total is the total distance minus the
-    # number of pairs; dividing instead gives the mean distance.
+    # number of pairs; the mean distance is checked against the BFS tables.
     for label, g in _sum_identity_instances():
         n = g.vertex_count
         total = sum(betweenness(g))
@@ -764,7 +764,7 @@ def _check_totals() -> str:
             raise CheckFailure(
                 f"{label}: sum B = {total} but W - C(n,2) = {w - comb(n, 2)}"
             )
-        if average_distance(g) != Fraction(w, comb(n, 2)):
+        if average_distance(g) != Fraction(sum(sum(t.dist) for t in all_pairs_tables(g)), 2 * comb(n, 2)):
             raise CheckFailure(f"{label}: mean distance disagrees with total distance")
     return f"sum identity holds on {len(_sum_identity_instances())} graphs"
 

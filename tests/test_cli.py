@@ -3,6 +3,7 @@ from __future__ import annotations
 import ast
 import json
 import os
+import pkgutil
 import random
 import re
 import subprocess
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import boxbc
 from boxbc import (
     cartesian_product,
     complete,
@@ -649,17 +651,29 @@ def _write_factors(directory: Path) -> dict[str, str]:
     return {name: str(directory / f"{name}.el") for name in files}
 
 
-# watched modules a route may load; each request loads exactly the listed ones
-_ROUTE_WATCH = ("boxbc.centrality", "boxbc.generators", "csv", "json")
+# every boxbc submodule and the two report-format modules; each request loads exactly the listed ones
+_ROUTE_WATCH = tuple(f"boxbc.{m.name}" for m in pkgutil.iter_modules(boxbc.__path__)) + ("csv", "json")
 
 
 @pytest.mark.parametrize(
     "argv, loaded",
     [
-        (["bc", "--factors", "{k2},{p3},{k2}", "--method", "factorized"], ["csv"]),
-        (["bc", "--factors", "{k2},{p3},{k2}", "--method", "factorized", "--format", "json"], ["json"]),
-        (["bc", "--family", "grid", "3", "4", "--method", "closed-form"], ["boxbc.generators", "csv"]),
-        (["bc", "--factors", "{k2},{p3}"], ["boxbc.centrality", "csv"]),
+        (
+            ["bc", "--factors", "{k2},{p3},{k2}", "--method", "factorized"],
+            ["boxbc.cli", "boxbc.edgelist", "boxbc.graph", "boxbc.product", "boxbc.report", "csv"],
+        ),
+        (
+            ["bc", "--factors", "{k2},{p3},{k2}", "--method", "factorized", "--format", "json"],
+            ["boxbc.cli", "boxbc.edgelist", "boxbc.graph", "boxbc.product", "boxbc.report", "json"],
+        ),
+        (
+            ["bc", "--family", "grid", "3", "4", "--method", "closed-form"],
+            ["boxbc.cli", "boxbc.generators", "boxbc.graph", "boxbc.product", "boxbc.report", "csv"],
+        ),
+        (
+            ["bc", "--factors", "{k2},{p3}"],
+            ["boxbc.centrality", "boxbc.cli", "boxbc.edgelist", "boxbc.graph", "boxbc.product", "boxbc.report", "csv"],
+        ),
     ],
     ids=["factorized csv", "factorized json", "grid closed-form", "brandes csv"],
 )

@@ -300,11 +300,11 @@ def test_profiles_are_in_lowest_terms(factors: list[Graph]):
     for f in factors:
         tables = all_pairs_tables(f)
         for x in range(f.vertex_count):
-            p, e, den = boxbc.product._profile(tables, x)
+            p, e, den = boxbc.product._profile(boxbc.product._sums(tables, x))
             assert den > 0 and gcd(den, *p, *e) == 1
     # so equal profiles intern to one id across graphs: an end of P_3 and a leaf of star_2
-    end = boxbc.product._profile(all_pairs_tables(path(3)), 0)
-    assert end == boxbc.product._profile(all_pairs_tables(star(2)), 1)
+    end = boxbc.product._profile(boxbc.product._sums(all_pairs_tables(path(3)), 0))
+    assert end == boxbc.product._profile(boxbc.product._sums(all_pairs_tables(star(2)), 1))
 
 
 def test_profile_shorter_than_the_factor_diameter():
@@ -312,20 +312,16 @@ def test_profile_shorter_than_the_factor_diameter():
     # the diameter 4, so its profile has degree 3 where the factor reaches 4
     spur = graph_from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)])
     assert diameter(spur) == 4
-    p, e, den = boxbc.product._profile(all_pairs_tables(spur), 5)
+    p, e, den = boxbc.product._profile(boxbc.product._sums(all_pairs_tables(spur), 5))
     assert len(p) == len(e) == 4
     for other in (complete(2), path(3), spur):
         pg = cartesian_product([spur, other])
         assert factorized_betweenness_all(pg.spec) == betweenness(pg.graph)
 
 
-def test_equal_factors_share_profiles(monkeypatch):
-    g = path(3)
-    twin = graph_from_edges(3, list(g.edges()))
-    assert twin == g and twin is not g
-    factors = [g, twin, cycle(5)]
-    calls = {"_profile": 0, "_class_betweenness": 0}
-    for name in calls:
+def _count_calls(monkeypatch, names: tuple[str, ...]) -> dict[str, int]:
+    calls = dict.fromkeys(names, 0)
+    for name in names:
         original = getattr(boxbc.product, name)
 
         def counted(*args, _name=name, _original=original):
@@ -333,11 +329,30 @@ def test_equal_factors_share_profiles(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(boxbc.product, name, counted)
+    return calls
+
+
+def test_equal_factors_share_profiles(monkeypatch):
+    g = path(3)
+    twin = graph_from_edges(3, list(g.edges()))
+    assert twin == g and twin is not g
+    factors = [g, twin, cycle(5)]
+    calls = _count_calls(monkeypatch, ("_sums", "_profile", "_class_betweenness"))
     values = factorized_betweenness_all(product_spec(factors))
-    # profiles are built once per distinct factor content (3 + 5 vertices);
+    # pair sums are built once per distinct factor content (3 + 5 vertices);
     # P_3 has two profiles (end, middle) and C_5 one, so the sorted classes
     # are {end, end}, {end, middle} and {middle, middle}
-    assert calls == {"_profile": 8, "_class_betweenness": 3}
+    assert calls == {"_sums": 8, "_profile": 3, "_class_betweenness": 3}
+    assert values == betweenness(cartesian_product(factors).graph)
+
+
+def test_equal_sums_share_one_expansion(monkeypatch):
+    # mirrored vertices of P_6 share their pair sums (3 distinct), and every
+    # vertex of C_7 has the same sums, so 13 pair loops expand 4 profiles
+    factors = [path(6), cycle(7)]
+    calls = _count_calls(monkeypatch, ("_sums", "_profile"))
+    values = factorized_betweenness_all(product_spec(factors))
+    assert calls == {"_sums": 13, "_profile": 4}
     assert values == betweenness(cartesian_product(factors).graph)
 
 

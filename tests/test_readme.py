@@ -5,7 +5,7 @@ Every ``$ boxbc ...`` line in the "Command line" section runs through
 may read a file an earlier one wrote.  Its stdout must equal the lines shown
 under it, or their first N lines for ``| head -N``.  The "Library quickstart"
 block runs statement by statement, and each expression's ``repr`` must equal
-the value its comment starts with.
+the value its comment starts with.  The "Layout" block names every module.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from pathlib import Path
 
 from boxbc.cli import main
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def _command_line_examples() -> list[tuple[str, list[str]]]:
@@ -66,3 +67,12 @@ def test_readme_library_quickstart():
         assert repr(value) == shown.group(), lines[node.lineno - 1]
         shown_values.append(shown.group())
     assert shown_values == ["Fraction(32, 3)", "Fraction(32, 3)", "6", "Fraction(37, 2)", "Fraction(32, 3)", "256"]
+
+
+def test_readme_layout_names_every_module():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Layout\n", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```\nsrc/boxbc/\n(.*?)```", section, re.S).group(1)
+    named = [line.split()[0] for line in block.splitlines()]
+    modules = sorted(p.name for p in (ROOT / "src" / "boxbc").glob("*.py") if not p.name.startswith("__"))
+    assert sorted(named) == modules

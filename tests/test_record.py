@@ -19,7 +19,7 @@ from boxbc import (
     product_spec,
 )
 from boxbc.bench import BenchRow
-from boxbc.record import Record
+from boxbc.graph import Record
 
 
 def _path3(edges=((0, 1), (1, 2))) -> Graph:
