@@ -4,6 +4,9 @@ Vertex ids are dense integers.  :func:`breadth_first` is the one search that
 counts geodesics; a :class:`GeodesicTable` holds one source's distances and
 shortest-path counts, plain integers that stay exact however large.  The
 Wiener index comes from a bit-parallel BFS from all sources and builds no table.
+A graph's text form is an edge list: an optional header line ``n <count>``, then
+one ``u v`` pair of non-negative integer ids per line; lines starting with ``#``
+are ignored, and without a header the vertex count is the largest id plus one.
 """
 
 from __future__ import annotations
@@ -12,7 +15,11 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb
 from operator import attrgetter
-from typing import Any, Iterable, Iterator
+from os import PathLike
+from typing import TYPE_CHECKING, Any, Iterable, Iterator
+
+if TYPE_CHECKING:
+    from .product import ProductSpec
 
 
 class Record:
@@ -317,3 +324,75 @@ def average_distance(g: Graph) -> Fraction:
     if n < 2:
         raise GraphError("average distance needs at least two vertices")
     return Fraction(wiener(g), comb(n, 2))
+
+
+def parse_edge_list(text: str) -> Graph:
+    """Parse edge-list text into a validated :class:`Graph`.
+
+    Ids must be dense: every id below the vertex count has to appear in some
+    edge (single-vertex graphs excepted), otherwise the first gap is named.
+    Range and density are decided from the ids alone, before anything sized
+    by the vertex count is allocated, so a large header or id fails cheaply.
+    """
+    header: int | None = None
+    edges: list[tuple[int, int]] = []
+    max_id = -1
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        if header is None and not edges and fields[0] == "n":
+            if len(fields) != 2:
+                raise GraphError(f"line {lineno}: header must be 'n <count>', got {line!r}")
+            header = _parse_id(fields[1], lineno)
+            continue
+        if len(fields) != 2:
+            raise GraphError(f"line {lineno}: expected 'u v', got {line!r}")
+        u = _parse_id(fields[0], lineno)
+        v = _parse_id(fields[1], lineno)
+        max_id = max(max_id, u, v)
+        edges.append((u, v))
+    vertex_count = header if header is not None else max_id + 1
+    if max_id >= vertex_count:
+        bad = next(w for edge in edges for w in edge if w >= vertex_count)
+        raise GraphError(f"vertex id {bad} out of range 0..{vertex_count - 1}")
+    used = {w for edge in edges for w in edge}
+    if vertex_count > 1 and len(used) < vertex_count:
+        gap = next(vid for vid in range(vertex_count) if vid not in used)
+        raise GraphError(f"vertex ids are not dense: {gap} has no incident edge")
+    return graph_from_edges(vertex_count, edges)
+
+
+def _parse_id(token: str, lineno: int) -> int:
+    try:
+        value = int(token)
+    except ValueError:
+        raise GraphError(f"line {lineno}: {token!r} is not an integer") from None
+    if value < 0:
+        raise GraphError(f"line {lineno}: negative id {value}")
+    return value
+
+
+def format_edge_list(g: Graph | ProductSpec) -> str:
+    """Deterministic edge-list text: header plus edges sorted by endpoint ids.
+
+    ``g`` is anything with ``vertex_count`` and ``edges()``, such as a
+    :class:`Graph` or a :class:`~boxbc.product.ProductSpec`, whose edges
+    stream from its factors.  The text grows in one buffer, never as a list
+    of line strings.
+    """
+    text = bytearray(b"n %d\n" % g.vertex_count)
+    for edge in g.edges():
+        text += b"%d %d\n" % edge
+    return text.decode()
+
+
+def load_graph(path: str | PathLike[str]) -> Graph:
+    with open(path, encoding="utf-8") as handle:
+        return parse_edge_list(handle.read())
+
+
+def save_graph(path: str | PathLike[str], g: Graph) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(format_edge_list(g))

@@ -15,7 +15,9 @@ factor vertex gets a distance profile, a polynomial in ``(a, b)`` summing its
 factor terms; a product vertex's betweenness is one integral over ``[0, 1]``
 of the product of its coordinates' profiles on the line ``(t, 1 - t)``.
 Equal pair sums share one id and one profile, so the value depends only on
-the sorted ids, and a vertex-transitive product needs a single class.
+the sorted ids, and a vertex-transitive product needs a single class.  The
+integral is linear in the last profile, so the classes that differ only in
+their last id share one product of the others' profiles.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import itertools
 from fractions import Fraction
 from functools import cached_property
 from math import comb, gcd, lcm, prod
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .graph import GeodesicTable, Graph, GraphError, Record, all_pairs_tables, is_vertex_id, require_connected, wiener
@@ -281,41 +284,48 @@ def _times(f: Sequence[int], g: Sequence[int]) -> list[int]:
     return out
 
 
-def _class_betweenness(profiles: Iterable[Profile]) -> Fraction:
-    """Betweenness of a product vertex whose coordinates have these profiles.
+def _class_values(profiles: Sequence[Profile], keys: Iterable[tuple[int, ...]]) -> dict[tuple[int, ...], Fraction]:
+    """Betweenness by class: each key is the sorted profile ids of a product vertex's coordinates.
 
-    The product ``F`` of the profiles sums ``sigma(u,x) * sigma(x,v) /
-    sigma(u,v) * C(A+B, A) x^A y^B`` over the ordered product pairs.  Since
-    ``1 / C(A+B, A) = (A+B+1) * integral_0^1 t^A (1-t)^B dt``, the sum over
-    unordered pairs that avoid ``x`` is ``(integral_0^1 (F + EF)(t, 1-t) dt -
-    F(0,1) - F(1,0) + 1) / 2``; ``E`` is a derivation, so ``(F, EF)``
-    multiplies through the profiles as a dual number.
+    The product ``F`` of the key's profiles sums ``sigma(u,x) * sigma(x,v) / sigma(u,v) * C(A+B, A) x^A y^B``
+    over the ordered product pairs.  Since ``1 / C(A+B, A) = (A+B+1) * integral_0^1 t^A (1-t)^B dt``, the sum
+    over unordered pairs that avoid ``x`` is ``(integral_0^1 G(t, 1-t) dt - F(0,1) - F(1,0) + 1) / 2`` with
+    ``G = F + EF``; ``E`` is a derivation, so ``(F, G)`` multiplies through the profiles as a dual number.
+    ``G`` is linear in the last profile ``(p, e)``: each prefix, the key minus its last id, builds its
+    ``(F, G)`` once, with the moments ``M_j`` of ``G`` and ``N_j`` of ``F`` against ``L / (i + j + 1)``,
+    and a class costs ``sum_j p_j M_j + e_j N_j``.
     """
-    f, ef, scale = [1], [0], 1
-    for p, e, den in profiles:
-        f, ef = _times(f, p), [c + d for c, d in zip(_times(ef, p), _times(f, e))]
-        scale *= den
-    common = lcm(*range(1, len(f) + 1))
-    integral = sum((c + d) * (common // k) for k, (c, d) in enumerate(zip(f, ef), 1))
-    return Fraction(integral - common * (f[0] + sum(f) - scale), 2 * common * scale)
+    values = {}
+    for prefix, group in itertools.groupby(sorted(keys), key=lambda key: key[:-1]):
+        group = list(group)
+        f, g, scale = [1], [1], 1
+        for p, e, den in map(profiles.__getitem__, prefix):
+            f, g = _times(f, p), [c + d for c, d in zip(_times(g, p), _times(f, e))]
+            scale *= den
+        width = max(len(profiles[key[-1]][0]) for key in group)
+        common = lcm(*range(1, len(f) + width))
+        weights = [common // k for k in range(1, len(f) + width)]
+        m, n = ([sum(map(mul, h, weights[j:])) for j in range(width)] for h in (g, f))
+        for key in group:
+            p, e, den = profiles[key[-1]]
+            integral = sum(map(mul, p, m)) + sum(map(mul, e, n))
+            ends = f[0] * p[0] + sum(f) * sum(p) - scale * den
+            values[key] = Fraction(integral - common * ends, 2 * common * scale * den)
+    return values
 
 
 def factorized_betweenness(spec: ProductSpec, x: Sequence[int]) -> Fraction:
-    """Betweenness of one product vertex, summed over unordered product pairs.
-
-    Builds one profile per coordinate, ``O(n_i^2)`` each from the factor
-    geodesic tables; the product graph is never materialized or searched.
-    """
+    """Betweenness of one product vertex: its coordinates' profiles as one class; the product is never searched."""
     x = _check_coords(spec, x)
-    return _class_betweenness(_profile(_sums(all_pairs_tables(f), c)) for f, c in zip(spec.factors, x))
+    key = tuple(range(len(x)))
+    return _class_values([_profile(_sums(all_pairs_tables(f), c)) for f, c in zip(spec.factors, x)], [key])[key]
 
 
 def factorized_betweenness_all(spec: ProductSpec) -> tuple[Fraction, ...]:
-    """Betweenness of every product vertex, one profile product per class.
+    """Betweenness of every product vertex, one value per class.
 
-    Pair sums are built once per distinct factor and interned by content, and
-    each distinct one expands to one profile; a vertex's class is the sorted
-    tuple of its coordinates' ids.  Values are memoized and listed by vertex id.
+    Pair sums are built once per distinct factor and interned by content, and each distinct one expands to one
+    profile; a vertex's class is the sorted tuple of its coordinates' ids, and each class is evaluated once.
     """
     ids: dict[Sums, int] = {}
     by_factor: dict[Graph, tuple[int, ...]] = {}
@@ -323,16 +333,11 @@ def factorized_betweenness_all(spec: ProductSpec) -> tuple[Fraction, ...]:
         if f not in by_factor:
             tables = all_pairs_tables(f)
             by_factor[f] = tuple(ids.setdefault(_sums(tables, x), len(ids)) for x in range(f.vertex_count))
-    profiles = tuple(map(_profile, ids))
-    memo: dict[tuple[int, ...], Fraction] = {}
-    values = []
-    for coordinate_ids in itertools.product(*(by_factor[f] for f in spec.factors)):
-        key = tuple(sorted(coordinate_ids))
-        value = memo.get(key)
-        if value is None:
-            value = memo[key] = _class_betweenness(profiles[i] for i in key)
-        values.append(value)
-    return tuple(values)
+    classes: dict[tuple[int, ...], tuple[int, ...]] = {}
+    coordinate_ids = itertools.product(*map(by_factor.get, spec.factors))
+    keys = [classes.setdefault(key, key) for key in map(tuple, map(sorted, coordinate_ids))]
+    values = _class_values(tuple(map(_profile, ids)), classes)
+    return tuple(map(values.__getitem__, keys))
 
 
 def product_wiener(factors: Iterable[Graph]) -> int:

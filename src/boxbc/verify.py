@@ -17,7 +17,6 @@ from time import perf_counter
 from typing import Callable, Iterator
 
 from .centrality import _definitional, betweenness
-from .edgelist import format_edge_list, parse_edge_list
 from .generators import (
     _cycle_product_bc, complete, cycle, cycle_product_wiener, debruijn_count, even_cycles_bc, grid, grid_bc,
     hamming, hamming_bc, hypercube, hypercube_bc, odd_cycles_bc, path, star, torus, torus_bc,
@@ -30,9 +29,11 @@ from .graph import (
     average_distance,
     diameter,
     distance,
+    format_edge_list,
     interval,
     is_geodetic,
     pair_dependency,
+    parse_edge_list,
     wiener,
 )
 from .product import (
@@ -148,6 +149,8 @@ def _agreement_instances() -> tuple[tuple[str, tuple[Graph, ...]], ...]:
     # three distinct factors, not vertex transitive: several profile classes
     pairs.append(("star_3 x P_4 x C_4", (star(3), path(4), c4)))
     pairs.append(("K_2 x P_3 x C_4", (k2, path(3), c4)))
+    # P_5 with a pendant at its centre has profiles of degree 4 and 3, so one prefix ends in both
+    pairs.append(("K_2 x P_3 x spur_5", (k2, path(3), parse_edge_list("0 1\n1 2\n2 3\n3 4\n2 5\n"))))
     return tuple(pairs)
 
 

@@ -511,6 +511,14 @@ def test_computation_modules_leave_the_report_module_unloaded():
     assert proc.stdout == "False\n"
 
 
+def test_graph_module_imports_no_other_boxbc_module():
+    # graph.py names ProductSpec only for type checking; at run time every other module builds on it
+    script = "import sys, boxbc.graph; print(sorted(m for m in sys.modules if m.startswith('boxbc')))"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['boxbc', 'boxbc.graph']\n"
+
+
 def _recorded_help() -> list:
     # ``$ boxbc … --help`` lines, each followed by the text it printed
     blocks = Path(__file__).with_name("cli_help.txt").read_text().split("$ boxbc")[1:]
@@ -660,11 +668,11 @@ _ROUTE_WATCH = tuple(f"boxbc.{m.name}" for m in pkgutil.iter_modules(boxbc.__pat
     [
         (
             ["bc", "--factors", "{k2},{p3},{k2}", "--method", "factorized"],
-            ["boxbc.cli", "boxbc.edgelist", "boxbc.graph", "boxbc.product", "boxbc.report", "csv"],
+            ["boxbc.cli", "boxbc.graph", "boxbc.product", "boxbc.report", "csv"],
         ),
         (
             ["bc", "--factors", "{k2},{p3},{k2}", "--method", "factorized", "--format", "json"],
-            ["boxbc.cli", "boxbc.edgelist", "boxbc.graph", "boxbc.product", "boxbc.report", "json"],
+            ["boxbc.cli", "boxbc.graph", "boxbc.product", "boxbc.report", "json"],
         ),
         (
             ["bc", "--family", "grid", "3", "4", "--method", "closed-form"],
@@ -672,7 +680,7 @@ _ROUTE_WATCH = tuple(f"boxbc.{m.name}" for m in pkgutil.iter_modules(boxbc.__pat
         ),
         (
             ["bc", "--factors", "{k2},{p3}"],
-            ["boxbc.centrality", "boxbc.cli", "boxbc.edgelist", "boxbc.graph", "boxbc.product", "boxbc.report", "csv"],
+            ["boxbc.centrality", "boxbc.cli", "boxbc.graph", "boxbc.product", "boxbc.report", "csv"],
         ),
     ],
     ids=["factorized csv", "factorized json", "grid closed-form", "brandes csv"],

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import tracemalloc
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import comb, gcd
 
 import pytest
@@ -337,12 +337,14 @@ def test_equal_factors_share_profiles(monkeypatch):
     twin = graph_from_edges(3, list(g.edges()))
     assert twin == g and twin is not g
     factors = [g, twin, cycle(5)]
-    calls = _count_calls(monkeypatch, ("_sums", "_profile", "_class_betweenness"))
+    calls = _count_calls(monkeypatch, ("_sums", "_profile", "_class_values", "_times"))
     values = factorized_betweenness_all(product_spec(factors))
     # pair sums are built once per distinct factor content (3 + 5 vertices);
     # P_3 has two profiles (end, middle) and C_5 one, so the sorted classes
-    # are {end, end}, {end, middle} and {middle, middle}
-    assert calls == {"_sums": 8, "_profile": 3, "_class_betweenness": 3}
+    # are {end, end, C_5}, {end, middle, C_5} and {middle, middle, C_5}, all
+    # evaluated in one call; each builds its 2-id prefix's dual product once,
+    # three _times per profile
+    assert calls == {"_sums": 8, "_profile": 3, "_class_values": 1, "_times": 3 * 3 * 2}
     assert values == betweenness(cartesian_product(factors).graph)
 
 
@@ -354,6 +356,20 @@ def test_equal_sums_share_one_expansion(monkeypatch):
     values = factorized_betweenness_all(product_spec(factors))
     assert calls == {"_sums": 13, "_profile": 4}
     assert values == betweenness(cartesian_product(factors).graph)
+
+
+def test_each_class_prefix_builds_one_product(monkeypatch):
+    # P_5's vertex c has profile id min(c, 4 - c), so P_5^3 has 10 sorted
+    # classes but only 6 distinct prefixes (a class minus its last id); each
+    # prefix's dual product is built once, three _times per profile
+    ids = [min(c, 4 - c) for c in range(5)]
+    classes = {tuple(sorted(key)) for key in product(ids, repeat=3)}
+    prefixes = {key[:-1] for key in classes}
+    assert (len(classes), len(prefixes)) == (10, 6)
+    calls = _count_calls(monkeypatch, ("_class_values", "_times"))
+    values = factorized_betweenness_all(product_spec([path(5)] * 3))
+    assert calls == {"_class_values": 1, "_times": 3 * 2 * len(prefixes)}
+    assert values == betweenness(cartesian_product([path(5)] * 3).graph)
 
 
 def test_factor_order_permutes_values():

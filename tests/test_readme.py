@@ -5,7 +5,8 @@ Every ``$ boxbc ...`` line in the "Command line" section runs through
 may read a file an earlier one wrote.  Its stdout must equal the lines shown
 under it, or their first N lines for ``| head -N``.  The "Library quickstart"
 block runs statement by statement, and each expression's ``repr`` must equal
-the value its comment starts with.  The "Layout" block names every module.
+the value its comment starts with.  The "Layout" block names every module,
+and every ``*.py`` name the README mentions exists.
 """
 
 from __future__ import annotations
@@ -76,3 +77,10 @@ def test_readme_layout_names_every_module():
     named = [line.split()[0] for line in block.splitlines()]
     modules = sorted(p.name for p in (ROOT / "src" / "boxbc").glob("*.py") if not p.name.startswith("__"))
     assert sorted(named) == modules
+
+
+def test_readme_names_only_existing_files():
+    # a bare name is a module in src/boxbc/, anything else a path from the repository root
+    named = set(re.findall(r"[\w./-]+\.py\b", README.read_text(encoding="utf-8")))
+    missing = sorted(n for n in named if not (ROOT / n if "/" in n else ROOT / "src" / "boxbc" / n).is_file())
+    assert named and missing == []
