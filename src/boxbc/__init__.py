@@ -15,8 +15,8 @@ __version__ = "0.1.0"
 # command loads only the modules its route runs.
 _EXPORTS = {
     "centrality": "betweenness",
-    "generators": "FAMILIES check_family complete cycle cycle_product_wiener debruijn_count even_cycles_bc family_factors"
-    " generate grid grid_bc hamming hamming_bc hypercube hypercube_bc odd_cycles_bc path star torus torus_bc",
+    "generators": "FAMILIES check_family complete cycle cycle_product_wiener even_cycles_bc family_factors generate"
+    " grid grid_bc hamming hamming_bc hypercube hypercube_bc odd_cycles_bc path star torus torus_bc",
     "graph": "DisconnectedGraphError GeodesicTable Graph GraphError all_pairs_tables average_distance"
     " bfs_geodesics diameter distance format_edge_list graph_from_edges interval is_connected is_geodetic"
     " load_graph pair_dependency parse_edge_list save_graph sigma sigma_through wiener",

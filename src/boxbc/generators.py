@@ -15,7 +15,7 @@ graph.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, prod
+from math import prod
 from typing import Callable
 
 from .graph import Graph, GraphError, graph_from_edges, is_int
@@ -197,15 +197,3 @@ def cycle_product_wiener(sizes) -> int:
     assert value.denominator == 1
     return value.numerator
 
-
-def debruijn_count(k: int, n: int) -> int:
-    """Interleaving count ``(kn)! / (n!)^k``.
-
-    Also the number of corner-to-corner geodesics in the k-fold product of
-    paths on ``n + 1`` vertices.
-    """
-    if not is_int(k) or k < 1:
-        raise GraphError(f"arity must be at least 1, got {k}")
-    if not is_int(n) or n < 0:
-        raise GraphError(f"length must be non-negative, got {n}")
-    return factorial(k * n) // factorial(n) ** k

@@ -26,6 +26,8 @@ from .graph import Record
 
 UNIFORM_VERTEX = "*"
 DECIMAL_DIGITS = 12
+# the longest integer field a reader converts: int() of text is quadratic in its length (0.1 s here)
+MAX_READ_DIGITS = 100_000
 
 
 class CentralityReport(Record):
@@ -52,11 +54,17 @@ def fraction_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def _read_int(text: str) -> int:
+    if len(text) > MAX_READ_DIGITS:
+        raise ValueError(f"integer field of {len(text)} characters, over the {MAX_READ_DIGITS} a reader takes")
+    return int(text)
+
+
 def parse_fraction(text: str) -> Fraction:
     num, _, den = text.partition("/")
     if not den:
         raise ValueError(f"expected 'p/q', got {text!r}")
-    return Fraction(int(num), int(den))
+    return Fraction(_read_int(num), _read_int(den))
 
 
 def decimal_str(value: Fraction) -> str:
@@ -67,8 +75,8 @@ def decimal_str(value: Fraction) -> str:
 
 @contextmanager
 def _uncapped_int_text():
-    # Python 3.10.7+ writes no int of more than 4,300 digits as text, and an exact value
-    # may be longer; only report writers lift the cap, so parsing input keeps the guard
+    # Python 3.10.7+ converts no int of over 4,300 digits to or from text, and an exact value may be longer;
+    # only report writers and readers (which bound a field by MAX_READ_DIGITS) lift the cap
     cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if cap:
         sys.set_int_max_str_digits(0)
@@ -105,17 +113,17 @@ def report_to_csv(report: CentralityReport, labels: Sequence[str] | None = None)
 
 
 def values_from_csv(text: str) -> dict[str, Fraction]:
-    """Exact values keyed by vertex label; the decimal column is ignored."""
+    """Exact values keyed by vertex label; the decimal column is ignored.
+
+    A field over ``MAX_READ_DIGITS`` characters raises ``ValueError`` unconverted.
+    """
     import csv
 
     rows = [row for row in csv.reader(io.StringIO(text)) if row]
     if not rows or rows[0][0] != "vertex":
         raise ValueError("missing 'vertex,betweenness,decimal' header")
-    values: dict[str, Fraction] = {}
-    for row in rows[1:]:
-        label, exact, _ = row
-        values[label] = parse_fraction(exact)
-    return values
+    with _uncapped_int_text():
+        return {label: parse_fraction(exact) for label, exact, _ in rows[1:]}
 
 
 def report_to_json(report: CentralityReport, labels: Sequence[str] | None = None) -> str:
@@ -137,9 +145,11 @@ def report_to_json(report: CentralityReport, labels: Sequence[str] | None = None
 
 
 def report_from_json(text: str) -> CentralityReport:
+    """The report in *text*; an integer over ``MAX_READ_DIGITS`` characters raises ``ValueError`` unconverted."""
     import json
 
-    payload = json.loads(text)
+    with _uncapped_int_text():
+        payload = json.loads(text, parse_int=_read_int)
     values = tuple(Fraction(entry["num"], entry["den"]) for entry in payload["values"])
     return CentralityReport(
         method=payload["method"],

@@ -18,8 +18,8 @@ from typing import Callable, Iterator
 
 from .centrality import _definitional, betweenness
 from .generators import (
-    _cycle_product_bc, complete, cycle, cycle_product_wiener, debruijn_count, even_cycles_bc, grid, grid_bc,
-    hamming, hamming_bc, hypercube, hypercube_bc, odd_cycles_bc, path, star, torus, torus_bc,
+    _cycle_product_bc, complete, cycle, cycle_product_wiener, even_cycles_bc, grid, grid_bc, hamming, hamming_bc,
+    hypercube, hypercube_bc, odd_cycles_bc, path, star, torus, torus_bc,
 )
 from .graph import (
     Graph,
@@ -110,21 +110,13 @@ def run_verify(scope: str = "all") -> list[CheckResult]:
 
 @lru_cache(maxsize=1)
 def _basket() -> tuple[tuple[str, Graph], ...]:
+    # K_2 and K_3 are P_2 and C_3 as labeled graphs, so the complete graphs start at K_4
     entries: list[tuple[str, Graph]] = []
     entries.extend((f"P_{n}", path(n)) for n in range(2, 6))
     entries.extend((f"C_{n}", cycle(n)) for n in range(3, 7))
-    entries.extend((f"K_{n}", complete(n)) for n in range(2, 6))
+    entries.extend((f"K_{n}", complete(n)) for n in range(4, 6))
     entries.append(("star_3", star(3)))
     return tuple(entries)
-
-
-@lru_cache(maxsize=1)
-def _distinct_basket() -> tuple[tuple[str, Graph], ...]:
-    # P_2 == K_2 and C_3 == K_3 as labeled graphs; keep the first label.
-    seen: dict[Graph, str] = {}
-    for label, g in _basket():
-        seen.setdefault(g, label)
-    return tuple((label, g) for g, label in seen.items())
 
 
 @lru_cache(maxsize=None)
@@ -132,7 +124,7 @@ def _product_multisets(max_vertices: int, max_arity: int) -> tuple[tuple[str, tu
     """Multisets of basket factors whose product stays within *max_vertices*."""
     out = []
     for arity in range(1, max_arity + 1):
-        for combo in combinations_with_replacement(_distinct_basket(), arity):
+        for combo in combinations_with_replacement(_basket(), arity):
             if prod(g.vertex_count for _, g in combo) <= max_vertices:
                 label = " x ".join(name for name, _ in combo)
                 out.append((label, tuple(g for _, g in combo)))
@@ -247,22 +239,25 @@ def _check_method_agreement() -> str:
     return f"definitional and accumulation routes agree on {len(_core_instances())} graphs"
 
 
-@_check("core", "dependency-range")
-def _check_dependency_range() -> str:
-    triples = 0
+def _core_dependencies() -> Iterator[tuple[str, Graph, int, int, dict[int, Fraction]]]:
+    """``(label, g, u, v, {x: delta(u,v|x)})`` for each pair ``u < v`` of each core graph of at most 12 vertices."""
     for label, g in _core_instances():
         n = g.vertex_count
         if n > 12:
             continue
         for u in range(n):
             for v in range(u + 1, n):
-                for x in range(n):
-                    if x in (u, v):
-                        continue
-                    value = pair_dependency(g, u, v, x)
-                    if not 0 <= value <= 1:
-                        raise CheckFailure(f"{label}: delta({u},{v}|{x}) = {value} outside [0,1]")
-                    triples += 1
+                yield label, g, u, v, {x: pair_dependency(g, u, v, x) for x in range(n) if x not in (u, v)}
+
+
+@_check("core", "dependency-range")
+def _check_dependency_range() -> str:
+    triples = 0
+    for label, _, u, v, deps in _core_dependencies():
+        for x, value in deps.items():
+            if not 0 <= value <= 1:
+                raise CheckFailure(f"{label}: delta({u},{v}|{x}) = {value} outside [0,1]")
+            triples += 1
     return f"pair dependencies within [0,1] on {triples} triples"
 
 
@@ -271,20 +266,11 @@ def _check_dependency_sum() -> str:
     # Every interior vertex of a geodesic contributes, so the dependencies
     # over x sum to d(u,v) - 1 exactly.
     pairs = 0
-    for label, g in _core_instances():
-        n = g.vertex_count
-        if n > 12:
-            continue
-        for u in range(n):
-            for v in range(u + 1, n):
-                total = sum(
-                    pair_dependency(g, u, v, x) for x in range(n) if x not in (u, v)
-                )
-                if total != distance(g, u, v) - 1:
-                    raise CheckFailure(
-                        f"{label}: sum_x delta({u},{v}|x) = {total} != d-1 = {distance(g, u, v) - 1}"
-                    )
-                pairs += 1
+    for label, g, u, v, deps in _core_dependencies():
+        total = sum(deps.values())
+        if total != distance(g, u, v) - 1:
+            raise CheckFailure(f"{label}: sum_x delta({u},{v}|x) = {total} != d-1 = {distance(g, u, v) - 1}")
+        pairs += 1
     return f"dependency totals equal d(u,v)-1 on {pairs} pairs"
 
 
@@ -344,28 +330,26 @@ def _check_edge_stream() -> str:
     return f"streamed edge lists match the materialized products on {len(products)} products ({edges} edges)"
 
 
-@_check("products", "distance-additivity")
-def _check_distance_additivity() -> str:
+def _pair_sweep(subject: Callable[..., int], symbol: str, field: str) -> int:
+    """Compare ``subject(spec, u, v)`` with the BFS tables' ``field`` row on every product pair; count the pairs."""
     pairs = 0
     for label, spec, coords, tables, u, v in _product_pairs(64, 6):
-        want = tables[u].dist[v]
-        got = product_distance(spec, coords[u], coords[v])
+        want = getattr(tables[u], field)[v]
+        got = subject(spec, coords[u], coords[v])
         if got != want:
-            raise CheckFailure(f"{label}: d({coords[u]},{coords[v]}) = {got} != {want}")
+            raise CheckFailure(f"{label}: {symbol}({coords[u]},{coords[v]}) = {got} != {want}")
         pairs += 1
-    return f"coordinate distances match materialized distances on {pairs} pairs"
+    return pairs
+
+
+@_check("products", "distance-additivity")
+def _check_distance_additivity() -> str:
+    return f"coordinate distances match materialized distances on {_pair_sweep(product_distance, 'd', 'dist')} pairs"
 
 
 @_check("products", "sigma-agreement")
 def _check_sigma_agreement() -> str:
-    pairs = 0
-    for label, spec, coords, tables, u, v in _product_pairs(64, 6):
-        want = tables[u].sigma[v]
-        got = product_sigma(spec, coords[u], coords[v])
-        if got != want:
-            raise CheckFailure(f"{label}: sigma({coords[u]},{coords[v]}) = {got} != {want}")
-        pairs += 1
-    return f"factorized geodesic counts match BFS counts on {pairs} pairs"
+    return f"factorized geodesic counts match BFS counts on {_pair_sweep(product_sigma, 'sigma', 'sigma')} pairs"
 
 
 @_check("products", "dependency-agreement")
@@ -531,6 +515,12 @@ def _torus_bc_alt(m: int, n: int) -> Fraction:
     return k1 * k2 * (k1 + k2 - 1) + Fraction((k2 - 1) ** 2, 2)
 
 
+def _debruijn_count(k: int, n: int) -> int:
+    # Interleavings of k runs of n steps, (kn)! / (n!)^k: the corner-to-corner
+    # geodesic count of product_sigma on the path power P_{n+1}^k.
+    return factorial(k * n) // factorial(n) ** k
+
+
 def _family_sweep(label: str, g: Graph, expected: Fraction) -> None:
     for x, value in enumerate(betweenness(g)):
         if value != expected:
@@ -682,9 +672,9 @@ def _check_anchors() -> str:
         ("cycle_product_wiener([7])", cycle_product_wiener([7]), 42),
         ("cycle_product_wiener([4,4])", cycle_product_wiener([4, 4]), 256),
         ("cycle_product_wiener([3,3])", cycle_product_wiener([3, 3]), 54),
-        ("debruijn_count(2,2)", debruijn_count(2, 2), 6),
-        ("debruijn_count(2,3)", debruijn_count(2, 3), 20),
-        ("debruijn_count(3,3)", debruijn_count(3, 3), 1680),
+        ("_debruijn_count(2,2)", _debruijn_count(2, 2), 6),
+        ("_debruijn_count(2,3)", _debruijn_count(2, 3), 20),
+        ("_debruijn_count(3,3)", _debruijn_count(3, 3), 1680),
     )
     for label, got, want in anchors:
         if got != want:
@@ -694,36 +684,25 @@ def _check_anchors() -> str:
 
 @_check("closed-forms", "debruijn-lattice-paths")
 def _check_debruijn() -> str:
-    # (kn)!/(n!)^k counts corner-to-corner geodesics in the path power
-    # P_{n+1}^k, i.e. interleavings of k runs of n steps.
+    # corner-to-corner geodesics in the path power P_{n+1}^k are the
+    # interleavings of k runs of n steps
     checked = 0
     for k in range(1, 4):
         for n in range(0, 4):
             spec = product_spec([path(n + 1)] * k)
             got = product_sigma(spec, (0,) * k, (n,) * k)
-            if got != debruijn_count(k, n):
-                raise CheckFailure(
-                    f"(k={k}, n={n}): lattice count {got} != {debruijn_count(k, n)}"
-                )
+            if got != _debruijn_count(k, n):
+                raise CheckFailure(f"(k={k}, n={n}): lattice count {got} != {_debruijn_count(k, n)}")
             checked += 1
     for n in range(0, 9):
-        if debruijn_count(2, n) != comb(2 * n, n):
+        if _debruijn_count(2, n) != comb(2 * n, n):
             raise CheckFailure(f"(k=2, n={n}): count is not a central binomial coefficient")
     return f"interleaving counts match lattice geodesics on {checked} (k, n) pairs"
 
 
-@_check("closed-forms", "cycle-wiener")
-def _check_cycle_wiener() -> str:
-    for n in range(3, 21):
-        want = wiener(cycle(n))
-        got = cycle_product_wiener([n])
-        if got != want:
-            raise CheckFailure(f"C_{n}: formula {got} != BFS total {want}")
-    return "cycle total distances match BFS for 3 <= n <= 20"
-
-
 @_check("closed-forms", "cycle-product-wiener")
 def _check_cycle_product_wiener() -> str:
+    # the one-cycle multisets C_3 .. C_64 compare each cycle's form with its BFS Wiener index
     count = 0
     for sizes in _size_multisets(3, 64):
         want = product_wiener(tuple(cycle(n) for n in sizes))

@@ -6,18 +6,23 @@ that check's counterexample; ``--durations`` lists that run as the setup of
 the first test.  A check's seconds include any memoized product or table it
 is the first to build (see ``run_verify``).
 
-The remaining tests guard the harness itself: the product sweeps keep their
-instance counts and catch a single wrong value of the function under test,
-and one raising check fails alone.
+``tests/verify_all.txt`` pins every line ``boxbc verify --scope all`` prints
+from that run, without its seconds.  The remaining tests guard the harness
+itself: the product sweeps keep their instance counts and catch a single
+wrong value of the function under test, the basket holds no labeled graph
+twice, the one-cycle multisets reach C_64, and one raising check fails
+alone.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from boxbc import DisconnectedGraphError, cli, verify
+from boxbc import DisconnectedGraphError, cli, complete, cycle, path, verify
 from boxbc.verify import _CHECKS, CheckFailure, run_verify
 
 SUITE_BUDGET = 300.0
@@ -40,6 +45,13 @@ def test_check(results, check):
 def test_suite_budget(results):
     total = sum(r.seconds for r in results.values())
     assert total < SUITE_BUDGET, f"all checks took {total:.1f} s, budget {SUITE_BUDGET:.0f} s"
+
+
+def test_verify_prints_the_pinned_lines(results, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_verify", lambda scope: list(results.values()))
+    assert cli.main(["verify", "--scope", "all"]) == cli.EXIT_OK
+    lines = [re.sub(r" \(\d+\.\d\d s\)$", "", line) for line in capsys.readouterr().out.splitlines()]
+    assert lines == Path(__file__).with_name("verify_all.txt").read_text().splitlines()
 
 
 SWEEP_DETAILS = {
@@ -83,6 +95,17 @@ def test_product_sweeps_catch_a_single_wrong_value(monkeypatch, check, name, wro
     with pytest.raises(CheckFailure) as failure:
         body()
     assert str(failure.value) == detail
+
+
+def test_the_basket_holds_no_labeled_graph_twice():
+    # so it starts the complete graphs at K_4
+    assert path(2) == complete(2)
+    assert cycle(3) == complete(3)
+
+
+def test_one_cycle_multisets_reach_every_cycle_to_64():
+    # cycle-product-wiener compares each of C_3 .. C_64 alone with its BFS Wiener index
+    assert {(n,) for n in range(3, 65)} <= set(verify._size_multisets(3, 64))
 
 
 def test_a_raising_check_fails_alone(monkeypatch, capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from boxbc import CentralityReport, betweenness, grid, torus
 from boxbc.report import (
+    MAX_READ_DIGITS,
     decimal_str,
     fraction_str,
     parse_fraction,
@@ -73,3 +74,16 @@ def test_json_roundtrip():
     text = report_to_json(uniform)
     assert '"uniform": true' in text
     assert report_from_json(text) == uniform
+
+
+def test_readers_refuse_an_integer_field_over_the_bound():
+    longest = (10**MAX_READ_DIGITS - 1) // 9  # MAX_READ_DIGITS ones, built without int-to-text
+    csv_text = "vertex,betweenness,decimal\n*,{}/1,0\n"
+    json_text = '{{"method": "closed-form", "graph": "g", "values": [{{"vertex": "*", "num": {}, "den": 1}}]}}'
+    within, over = "1" * MAX_READ_DIGITS, "1" * (MAX_READ_DIGITS + 1)
+    assert values_from_csv(csv_text.format(within)) == {"*": longest}
+    assert report_from_json(json_text.format(within)).values == (longest,)
+    with pytest.raises(ValueError, match=f"over the {MAX_READ_DIGITS}"):
+        values_from_csv(csv_text.format(over))
+    with pytest.raises(ValueError, match=f"over the {MAX_READ_DIGITS}"):
+        report_from_json(json_text.format(over))
