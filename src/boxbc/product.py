@@ -260,7 +260,8 @@ def _profile(sums: Sums) -> Profile:
 
     The profile ``P`` sums ``sigma(u,x) * sigma(x,v) / sigma(u,v) * C(a+b, a) x^a y^b`` over those pairs.
     Returns ``(p, e, den)``: the coefficients in ``t`` of ``den * P(t, 1-t)`` and of ``den * EP(t, 1-t)``,
-    ``E`` weighting each term by ``a + b``, in lowest terms so that equal profiles hash equal across graphs.
+    ``E`` weighting each term by ``a + b``, in lowest terms: only to keep small the integers :func:`_class_values`
+    multiplies across factors (a vertex of C_4 x C_4 has ``den`` 1, not 24); values are exact either way.
     """
     den = lcm(*(s_uv for (_, _, s_uv), _ in sums))
     degree = max(a + b for (a, b, _), _ in sums)

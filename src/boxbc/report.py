@@ -22,7 +22,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Sequence
 
-from .graph import Record
+from .graph import Record, is_int
 
 UNIFORM_VERTEX = "*"
 DECIMAL_DIGITS = 12
@@ -60,11 +60,18 @@ def _read_int(text: str) -> int:
     return int(text)
 
 
-def parse_fraction(text: str) -> Fraction:
+def _fraction(num: object, den: object, where: str) -> Fraction:
+    # a bool is no int here (is_int), and a report writes every value over a denominator of at least 1
+    if not (is_int(num) and is_int(den) and den >= 1):
+        raise ValueError(f"{where}: expected an integer over an integer of at least 1, got {num!r} over {den!r}")
+    return Fraction(num, den)
+
+
+def parse_fraction(text: str, where: str = "fraction") -> Fraction:
     num, _, den = text.partition("/")
     if not den:
-        raise ValueError(f"expected 'p/q', got {text!r}")
-    return Fraction(_read_int(num), _read_int(den))
+        raise ValueError(f"{where}: expected 'p/q', got {text!r}")
+    return _fraction(_read_int(num), _read_int(den), where)
 
 
 def decimal_str(value: Fraction) -> str:
@@ -115,15 +122,22 @@ def report_to_csv(report: CentralityReport, labels: Sequence[str] | None = None)
 def values_from_csv(text: str) -> dict[str, Fraction]:
     """Exact values keyed by vertex label; the decimal column is ignored.
 
-    A field over ``MAX_READ_DIGITS`` characters raises ``ValueError`` unconverted.
+    A row not of three fields, or whose value is not ``p/q`` with ``q >= 1``, raises ``ValueError`` naming its line;
+    so does a field over ``MAX_READ_DIGITS`` characters, unconverted.
     """
     import csv
 
-    rows = [row for row in csv.reader(io.StringIO(text)) if row]
-    if not rows or rows[0][0] != "vertex":
+    reader = csv.reader(io.StringIO(text))
+    rows = [(reader.line_num, row) for row in reader if row]
+    if not rows or rows[0][1][0] != "vertex":
         raise ValueError("missing 'vertex,betweenness,decimal' header")
+    values = {}
     with _uncapped_int_text():
-        return {label: parse_fraction(exact) for label, exact, _ in rows[1:]}
+        for line, row in rows[1:]:
+            if len(row) != 3:
+                raise ValueError(f"line {line}: expected 3 fields 'vertex,betweenness,decimal', got {len(row)}")
+            values[row[0]] = parse_fraction(row[1], f"line {line}")
+    return values
 
 
 def report_to_json(report: CentralityReport, labels: Sequence[str] | None = None) -> str:
@@ -145,12 +159,19 @@ def report_to_json(report: CentralityReport, labels: Sequence[str] | None = None
 
 
 def report_from_json(text: str) -> CentralityReport:
-    """The report in *text*; an integer over ``MAX_READ_DIGITS`` characters raises ``ValueError`` unconverted."""
+    """The report in *text*.
+
+    A malformed payload raises ``ValueError``, naming the entry whose ``num`` or ``den`` is not an int (a bool is
+    not) or whose ``den`` is below 1; so does an integer over ``MAX_READ_DIGITS`` characters, unconverted.
+    """
     import json
 
     with _uncapped_int_text():
         payload = json.loads(text, parse_int=_read_int)
-    values = tuple(Fraction(entry["num"], entry["den"]) for entry in payload["values"])
+        entries = payload.get("values") if isinstance(payload, dict) and {"method", "graph"} <= payload.keys() else None
+        if not isinstance(entries, list) or not all(isinstance(entry, dict) for entry in entries):
+            raise ValueError("expected an object with 'method', 'graph' and a 'values' list of objects")
+        values = tuple(_fraction(entry.get("num"), entry.get("den"), f"values[{i}]") for i, entry in enumerate(entries))
     return CentralityReport(
         method=payload["method"],
         graph=payload["graph"],

@@ -10,8 +10,9 @@ is the first to build (see ``run_verify``).
 from that run, without its seconds.  The remaining tests guard the harness
 itself: the product sweeps keep their instance counts and catch a single
 wrong value of the function under test, the basket holds no labeled graph
-twice, the one-cycle multisets reach C_64, and one raising check fails
-alone.
+twice, the hypercubes and tori are graphs the hamming and cycle-products
+checks accumulate, every budget names a check, the one-cycle multisets reach
+C_64, and one raising check fails alone.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from boxbc import DisconnectedGraphError, cli, complete, cycle, path, verify
+from boxbc import DisconnectedGraphError, cli, complete, cycle, hamming, hypercube, path, torus, verify
 from boxbc.verify import _CHECKS, CheckFailure, run_verify
 
 SUITE_BUDGET = 300.0
@@ -101,6 +102,25 @@ def test_the_basket_holds_no_labeled_graph_twice():
     # so it starts the complete graphs at K_4
     assert path(2) == complete(2)
     assert cycle(3) == complete(3)
+
+
+def test_hypercubes_are_binary_hamming_graphs():
+    # so the hamming check, which accumulates H[2, ..., 2] for r <= 6, covers Q_r
+    for r in range(1, 7):
+        assert hypercube(r) == hamming(*[2] * r)
+
+
+def test_tori_are_the_two_cycle_products_swept():
+    # so the cycle-products check, which compares torus_bc on each two-cycle product, covers torus(m, n)
+    pairs = [sizes for sizes in verify._size_multisets(3, 64) if len(sizes) == 2 and sizes[1] <= 8]
+    assert len(pairs) == 21
+    for m, n in pairs:
+        assert torus(m, n) == verify._materialize((cycle(m), cycle(n))).graph
+
+
+def test_every_budget_names_a_check():
+    # a renamed check would otherwise fall back to the suite budget unnoticed
+    assert set(BUDGETS) <= {name for _, name, _ in _CHECKS}
 
 
 def test_one_cycle_multisets_reach_every_cycle_to_64():

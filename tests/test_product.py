@@ -302,7 +302,7 @@ def test_profiles_are_in_lowest_terms(factors: list[Graph]):
         for x in range(f.vertex_count):
             p, e, den = boxbc.product._profile(boxbc.product._sums(tables, x))
             assert den > 0 and gcd(den, *p, *e) == 1
-    # so equal profiles intern to one id across graphs: an end of P_3 and a leaf of star_2
+    # a profile depends on its pair sums alone: an end of P_3 and a leaf of star_2 give the same one
     end = boxbc.product._profile(boxbc.product._sums(all_pairs_tables(path(3)), 0))
     assert end == boxbc.product._profile(boxbc.product._sums(all_pairs_tables(star(2)), 1))
 

@@ -87,3 +87,27 @@ def test_readers_refuse_an_integer_field_over_the_bound():
         values_from_csv(csv_text.format(over))
     with pytest.raises(ValueError, match=f"over the {MAX_READ_DIGITS}"):
         report_from_json(json_text.format(over))
+
+
+CSV_HEADER = "vertex,betweenness,decimal\n"
+ENTRY = '{"method": "brandes", "graph": "g", "values": [{"vertex": 0, %s}]}'
+
+
+@pytest.mark.parametrize(
+    "reader, text, match",
+    [
+        pytest.param(values_from_csv, CSV_HEADER + "0,1/0,x\n", "line 2:.* 1 over 0$", id="csv-zero-den"),
+        pytest.param(values_from_csv, CSV_HEADER + "0,1/-2,x\n", "line 2:.* 1 over -2$", id="csv-negative-den"),
+        pytest.param(values_from_csv, CSV_HEADER + "0,1/2\n", "line 2: expected 3 fields", id="csv-two-fields"),
+        pytest.param(values_from_csv, CSV_HEADER + "0,1/2,0.5,x\n", "line 2: expected 3 fields", id="csv-four-fields"),
+        pytest.param(report_from_json, ENTRY % '"num": 1.5, "den": 1', r"values\[0\]:.* 1.5 over 1$", id="json-float"),
+        pytest.param(report_from_json, ENTRY % '"num": "1", "den": 1', r"values\[0\]:.* '1' over 1$", id="json-string"),
+        pytest.param(report_from_json, ENTRY % '"num": true, "den": 1', r"values\[0\]:.* True over 1$", id="json-bool"),
+        pytest.param(report_from_json, ENTRY % '"num": 1, "den": 0', r"values\[0\]:.* 1 over 0$", id="json-zero-den"),
+        pytest.param(report_from_json, ENTRY % '"num": 1', r"values\[0\]:.* 1 over None$", id="json-missing-den"),
+        pytest.param(report_from_json, "[1]", "expected an object", id="json-list-payload"),
+    ],
+)
+def test_readers_refuse_a_malformed_report(reader, text, match):
+    with pytest.raises(ValueError, match=match):
+        reader(text)
