@@ -200,7 +200,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    from .bench import bench_to_csv, run_bench
+    from .verify import bench_to_csv, run_bench
 
     methods = [m for m in args.methods.split(",") if m]
     rows = run_bench(args.family, args.max, methods)
@@ -219,7 +219,7 @@ def _verify_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def _bench_arguments(p: argparse.ArgumentParser) -> None:
-    from .bench import BENCH_FAMILIES, BENCH_METHODS
+    from .verify import BENCH_FAMILIES, BENCH_METHODS
 
     p.add_argument("--family", choices=BENCH_FAMILIES, required=True)
     p.add_argument("--max", type=int, required=True, help="largest factor size or dimension")

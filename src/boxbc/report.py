@@ -25,6 +25,7 @@ from typing import Sequence
 from .graph import Record, is_int
 
 UNIFORM_VERTEX = "*"
+_CSV_HEADER = ("vertex", "betweenness", "decimal")
 DECIMAL_DIGITS = 12
 # the longest integer field a reader converts: int() of text is quadratic in its length (0.1 s here)
 MAX_READ_DIGITS = 100_000
@@ -71,7 +72,11 @@ def parse_fraction(text: str, where: str = "fraction") -> Fraction:
     num, _, den = text.partition("/")
     if not den:
         raise ValueError(f"{where}: expected 'p/q', got {text!r}")
-    return _fraction(_read_int(num), _read_int(den), where)
+    value = _fraction(_read_int(num), _read_int(den), where)
+    # int() also takes signs, spaces, underscores and non-ASCII digits, none of which a report writes
+    if not (text.isascii() and num.isdigit() and den.isdigit()):
+        raise ValueError(f"{where}: expected 'p/q' in ASCII digits, got {text!r}")
+    return value
 
 
 def decimal_str(value: Fraction) -> str:
@@ -112,7 +117,7 @@ def report_to_csv(report: CentralityReport, labels: Sequence[str] | None = None)
 
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["vertex", "betweenness", "decimal"])
+    writer.writerow(_CSV_HEADER)
     with _uncapped_int_text():
         for label, value in zip(_vertex_labels(report, labels), report.values):
             writer.writerow([label, fraction_str(value), decimal_str(value)])
@@ -122,20 +127,25 @@ def report_to_csv(report: CentralityReport, labels: Sequence[str] | None = None)
 def values_from_csv(text: str) -> dict[str, Fraction]:
     """Exact values keyed by vertex label; the decimal column is ignored.
 
-    A row not of three fields, or whose value is not ``p/q`` with ``q >= 1``, raises ``ValueError`` naming its line;
-    so does a field over ``MAX_READ_DIGITS`` characters, unconverted.
+    A header other than ``vertex,betweenness,decimal``, a row not of three fields, a vertex given twice, or a value
+    not ``p/q`` in ASCII digits with ``q >= 1`` raises ``ValueError`` naming its line; so does a field over
+    ``MAX_READ_DIGITS`` characters, unconverted.
     """
     import csv
 
     reader = csv.reader(io.StringIO(text))
     rows = [(reader.line_num, row) for row in reader if row]
-    if not rows or rows[0][1][0] != "vertex":
-        raise ValueError("missing 'vertex,betweenness,decimal' header")
-    values = {}
+    line, header = rows[0] if rows else (1, [])
+    if tuple(header) != _CSV_HEADER:
+        raise ValueError(f"line {line}: expected the header {','.join(_CSV_HEADER)!r}, got {','.join(header)!r}")
+    values, lines = {}, {}
     with _uncapped_int_text():
         for line, row in rows[1:]:
             if len(row) != 3:
                 raise ValueError(f"line {line}: expected 3 fields 'vertex,betweenness,decimal', got {len(row)}")
+            if row[0] in lines:
+                raise ValueError(f"line {line}: vertex {row[0]!r} already given on line {lines[row[0]]}")
+            lines[row[0]] = line
             values[row[0]] = parse_fraction(row[1], f"line {line}")
     return values
 
@@ -162,7 +172,8 @@ def report_from_json(text: str) -> CentralityReport:
     """The report in *text*.
 
     A malformed payload raises ``ValueError``, naming the entry whose ``num`` or ``den`` is not an int (a bool is
-    not) or whose ``den`` is below 1; so does an integer over ``MAX_READ_DIGITS`` characters, unconverted.
+    not) or whose ``den`` is below 1, a ``method`` or ``graph`` that is not a string, or a ``uniform`` that is not a
+    JSON boolean; so does an integer over ``MAX_READ_DIGITS`` characters, unconverted.
     """
     import json
 
@@ -171,10 +182,10 @@ def report_from_json(text: str) -> CentralityReport:
         entries = payload.get("values") if isinstance(payload, dict) and {"method", "graph"} <= payload.keys() else None
         if not isinstance(entries, list) or not all(isinstance(entry, dict) for entry in entries):
             raise ValueError("expected an object with 'method', 'graph' and a 'values' list of objects")
+        method, graph, uniform = payload["method"], payload["graph"], payload.get("uniform", False)
+        if not (isinstance(method, str) and isinstance(graph, str)):
+            raise ValueError(f"method, graph: expected two strings, got {method!r} and {graph!r}")
+        if not isinstance(uniform, bool):
+            raise ValueError(f"uniform: expected true or false, got {uniform!r}")
         values = tuple(_fraction(entry.get("num"), entry.get("den"), f"values[{i}]") for i, entry in enumerate(entries))
-    return CentralityReport(
-        method=payload["method"],
-        graph=payload["graph"],
-        values=values,
-        uniform=bool(payload.get("uniform", False)),
-    )
+    return CentralityReport(method=method, graph=graph, values=values, uniform=uniform)

@@ -1,25 +1,29 @@
-"""Self-checking suites that cross-validate every computation route.
+"""Self-checking suites that cross-validate every computation route, and timing ladders that race two of them.
 
 Each check compares two independent routes to the same quantity (for
 example a closed-form formula against Brandes accumulation on the
 materialized graph) over a fixed instance set, and fails fast with a
 counterexample string.  ``run_verify`` executes the checks for one
-scope, or all of them.
+scope, or all of them.  ``run_bench`` times the ``brandes`` and
+``factorized`` routes on ladders of growing family instances.  Of the
+commands, only ``boxbc verify`` and ``boxbc bench`` load this module.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb, factorial, prod
 from time import perf_counter
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from .centrality import _definitional, betweenness
 from .generators import (
-    _cycle_product_bc, complete, cycle, cycle_product_wiener, even_cycles_bc, grid, grid_bc, hamming, hamming_bc,
-    hypercube, hypercube_bc, odd_cycles_bc, path, star, torus, torus_bc,
+    _cycle_product_bc, complete, cycle, cycle_product_wiener, even_cycles_bc, family_factors, grid, grid_bc, hamming,
+    hamming_bc, hypercube, hypercube_bc, odd_cycles_bc, path, star, torus, torus_bc,
 )
 from .graph import (
     Graph,
@@ -772,3 +776,80 @@ def _check_report_exactness() -> str:
         if report_from_json(report_to_json(report)) != report:
             raise CheckFailure(f"{report.graph}: JSON round trip changed the report")
     return f"serialized reports reconstruct exactly on {len(reports)} reports"
+
+
+# ---------------------------------------------------------------------------
+# timing ladders: each rung is timed end to end from its factor graphs, so the
+# brandes route pays for materializing the product before accumulating
+
+# family -> (least ladder size, instance label, parameter count, vertex count);
+# rung m is the family instance whose parameters all equal m
+_LADDERS = {
+    "torus": (3, "C_{m} x C_{m}", 2, lambda m: m * m),
+    "hamming": (2, "K_{m} x K_{m}", 2, lambda m: m * m),
+    "grid": (2, "P_{m} x P_{m}", 2, lambda m: m * m),
+    "hypercube": (1, "Q_{m}", 1, lambda m: 2**m),
+}
+BENCH_FAMILIES = tuple(_LADDERS)
+
+# method -> largest product, in vertices, it may be timed on.  The caps keep an
+# accidental ladder size from running for hours: Brandes works on the
+# materialized product in O(n*m), the factorized route on factor tables only.
+BENCH_METHODS = {"brandes": 5_000, "factorized": 100_000}
+
+
+class BenchRow(Record):
+    instance: str
+    n: int
+    method: str
+    seconds: float
+
+
+def run_bench(
+    family: str,
+    maximum: int,
+    methods: Sequence[str] = tuple(BENCH_METHODS),
+) -> list[BenchRow]:
+    """Time every ladder instance with every requested method, in a deterministic row order.
+
+    Rungs grow with ``m``, so the first rung over a requested method's cap is
+    found from the vertex counts and refused before any rung is built or timed.
+    """
+    if not methods:
+        raise GraphError(f"bench needs at least one method; expected some of {', '.join(BENCH_METHODS)}")
+    for i, method in enumerate(methods):
+        if method not in BENCH_METHODS:
+            raise GraphError(f"unknown bench method {method!r}; expected one of {', '.join(BENCH_METHODS)}")
+        if method in methods[:i]:
+            raise GraphError(f"bench method {method!r} is given twice")
+    if family not in _LADDERS:
+        raise GraphError(f"unknown bench family {family!r}; expected one of {', '.join(BENCH_FAMILIES)}")
+    low, label, count, vertices = _LADDERS[family]
+    if maximum < low:
+        raise GraphError(f"bench family {family!r} needs a maximum of at least {low}")
+    rungs = range(low, maximum + 1)
+    for m in rungs:
+        for method in methods:
+            if vertices(m) > BENCH_METHODS[method]:
+                n, cap = vertices(m), BENCH_METHODS[method]
+                raise GraphError(f"{label.format(m=m)} has {n} vertices; {method} bench instances are capped at {cap}")
+    rows = []
+    for m in rungs:
+        factors = family_factors(family, *[m] * count)
+        for method in methods:
+            start = perf_counter()
+            if method == "brandes":
+                betweenness(cartesian_product(factors).graph)
+            else:
+                factorized_betweenness_all(product_spec(factors))
+            rows.append(BenchRow(label.format(m=m), vertices(m), method, perf_counter() - start))
+    return rows
+
+
+def bench_to_csv(rows: Sequence[BenchRow]) -> str:
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["instance", "n", "method", "seconds"])
+    for row in rows:
+        writer.writerow([row.instance, row.n, row.method, f"{row.seconds:.6f}"])
+    return out.getvalue()

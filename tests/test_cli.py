@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from boxbc import (
     cartesian_product,
     complete,
     cycle,
+    family_factors,
     format_edge_list,
     graph_from_edges,
     grid,
@@ -29,7 +31,7 @@ from boxbc import (
 )
 from boxbc.cli import main
 from boxbc.report import report_from_json, values_from_csv
-from boxbc.verify import CheckFailure
+from boxbc.verify import _LADDERS, CheckFailure
 
 
 def run_cli(capsys, *argv):
@@ -378,6 +380,29 @@ def test_bench_bad_bounds(capsys):
     assert run_cli(capsys, "bench", "--family", "hamming", "--max", "3", "--methods", ",")[0] == 2
 
 
+def test_bench_refuses_a_repeated_method(capsys):
+    argv = ("bench", "--family", "hamming", "--max", "3", "--methods", "brandes,brandes,factorized")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: bench method 'brandes' is given twice\n")
+
+
+@pytest.mark.parametrize("family", ["torus", "hamming", "grid", "hypercube"])
+def test_bench_vertex_count_rule_matches_the_built_factors(family):
+    low, _, count, vertices = _LADDERS[family]
+    for m in range(low, low + 4):
+        assert vertices(m) == prod(g.vertex_count for g in family_factors(family, *[m] * count))
+
+
+def test_bench_refuses_an_over_cap_ladder_before_building_a_factor(capsys, monkeypatch):
+    def unbuilt(*args, **kwargs):
+        pytest.fail("a factor graph was built before the cap was checked")
+
+    monkeypatch.setattr("boxbc.verify.family_factors", unbuilt)
+    code, out, err = run_cli(capsys, "bench", "--family", "hamming", "--max", "400", "--methods", "factorized")
+    message = "K_317 x K_317 has 100489 vertices; factorized bench instances are capped at 100000"
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -391,8 +416,8 @@ def test_bench_caps_each_method_before_timing(capsys, monkeypatch, argv, message
     def untimed(*args, **kwargs):
         pytest.fail("a rung was timed before the cap was checked")
 
-    monkeypatch.setattr("boxbc.bench.cartesian_product", untimed)
-    monkeypatch.setattr("boxbc.bench.product_spec", untimed)
+    monkeypatch.setattr("boxbc.verify.cartesian_product", untimed)
+    monkeypatch.setattr("boxbc.verify.product_spec", untimed)
     code, out, err = run_cli(capsys, "bench", "--family", *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
@@ -416,7 +441,7 @@ def test_cli_import_leaves_verify_bench_and_dataclasses_unloaded():
         "import sys",
         "before = set(sys.modules)",
         "import boxbc.cli",
-        "heavy = ('boxbc.verify', 'boxbc.bench', 'dataclasses', 'inspect')",
+        "heavy = ('boxbc.verify', 'dataclasses', 'inspect')",
         "print(sorted(m for m in heavy if m in sys.modules and m not in before))",
         "import boxbc",
         "print(boxbc.run_verify.__module__, boxbc.SCOPES[-1], boxbc.CheckResult.__name__)",

@@ -18,8 +18,8 @@ from boxbc import (
     graph_from_edges,
     product_spec,
 )
-from boxbc.bench import BenchRow
 from boxbc.graph import Record
+from boxbc.verify import BenchRow
 
 
 def _path3(edges=((0, 1), (1, 2))) -> Graph:

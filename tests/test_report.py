@@ -106,6 +106,19 @@ ENTRY = '{"method": "brandes", "graph": "g", "values": [{"vertex": 0, %s}]}'
         pytest.param(report_from_json, ENTRY % '"num": 1, "den": 0', r"values\[0\]:.* 1 over 0$", id="json-zero-den"),
         pytest.param(report_from_json, ENTRY % '"num": 1', r"values\[0\]:.* 1 over None$", id="json-missing-den"),
         pytest.param(report_from_json, "[1]", "expected an object", id="json-list-payload"),
+        pytest.param(values_from_csv, CSV_HEADER + "0,+1/2,x\n", "line 2: .*ASCII digits", id="csv-plus-sign"),
+        pytest.param(values_from_csv, CSV_HEADER + "0, 1/2,x\n", "line 2: .*ASCII digits", id="csv-space"),
+        pytest.param(values_from_csv, CSV_HEADER + "0,1_0/3,x\n", "line 2: .*ASCII digits", id="csv-underscore"),
+        pytest.param(values_from_csv, CSV_HEADER + "0,-1/2,x\n", "line 2: .*ASCII digits", id="csv-negative"),
+        pytest.param(values_from_csv, "vertex,b,d\n0,1/2,x\n", "line 1: expected the header", id="csv-header-names"),
+        pytest.param(values_from_csv, CSV_HEADER + "0,1/2,x\n0,1/3,x\n", "line 3: .*'0' already given on line 2$",
+                     id="csv-repeated-vertex"),
+        pytest.param(report_from_json, ENTRY[:-1] % '"num": 1, "den": 2' + ', "uniform": "no"}',
+                     "uniform: expected true or false, got 'no'$", id="json-string-uniform"),
+        pytest.param(report_from_json, '{"method": 1, "graph": "g", "values": []}', "method, graph: .* 1 and 'g'$",
+                     id="json-int-method"),
+        pytest.param(report_from_json, '{"method": "brandes", "graph": null, "values": []}',
+                     "method, graph: .* 'brandes' and None$", id="json-null-graph"),
     ],
 )
 def test_readers_refuse_a_malformed_report(reader, text, match):
