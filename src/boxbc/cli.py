@@ -99,10 +99,6 @@ _CLOSED_FORMS: dict[str, Callable[..., Fraction | tuple[Fraction, ...]]] = {
     "complete": lambda n: Fraction(0),
 }
 
-# the product families whose closed form is one value for every vertex, so
-# ``--labels coords`` is refused before their factors are built
-_UNIFORM_PRODUCTS = ("hypercube", "hamming", "torus")
-
 
 def _closed_form(family: str, params: list[int]) -> Fraction | tuple[Fraction, ...]:
     _self.check_family(family, *params)
@@ -131,6 +127,7 @@ def cmd_bc(args: argparse.Namespace) -> int:
     if len(given) != 1:
         raise _UsageError("give exactly one input: an edge-list file, --family, or --factors")
     method = args.method
+    uniform = False
 
     if args.file is not None:
         if method in ("factorized", "closed-form"):
@@ -147,10 +144,14 @@ def cmd_bc(args: argparse.Namespace) -> int:
     else:
         family, params = _family_request(args.family)
         descriptor = f"{family}({', '.join(map(str, params))})"
-        if method == "closed-form" and args.labels == "coords" and family in _UNIFORM_PRODUCTS:
-            _self.check_family(family, *params)
-            raise _UsageError("a uniform report has a single '*' row; coordinate labels do not apply")
-        # a closed form reads only the parameters; coordinate labels need the factors
+        if method == "closed-form":
+            # a closed form reads only the parameters, so it runs before any factor is built,
+            # and gives one value when that value stands for every vertex
+            values = _closed_form(family, params)
+            uniform = not isinstance(values, tuple)
+            if uniform and args.labels == "coords":
+                raise _UsageError("a uniform report has a single '*' row; coordinate labels do not apply")
+        # coordinate labels need the factors
         factors = None if method == "closed-form" and args.labels != "coords" else _self.family_factors(family, *params)
         if method == "factorized" and factors is None:
             raise _UsageError("--method factorized needs --factors or a product family")
@@ -160,14 +161,10 @@ def cmd_bc(args: argparse.Namespace) -> int:
     if args.labels == "coords" and spec is None:
         raise _UsageError("--labels coords needs a product input (--factors or a product family)")
 
-    if method == "closed-form":
-        values = _closed_form(family, params)
-    elif method == "factorized":
+    if method == "factorized":
         values = _self.factorized_betweenness_all(spec)
-    else:
+    elif method == "brandes":
         values = _self.betweenness(materialize())
-    # a closed form gives one value when it stands for every vertex
-    uniform = not isinstance(values, tuple)
     report = _self.CentralityReport(method, descriptor, (values,) if uniform else values, uniform)
 
     labels = [str(c) for c in spec.coordinates()] if args.labels == "coords" else None

@@ -2,7 +2,8 @@
 
 CSV rows are ``vertex,betweenness,decimal`` where betweenness is the exact
 ``p/q`` string in lowest terms and decimal is a 12-significant-digit rendering
-for human readers only; verification always reconstructs from the exact field.
+for human readers only, made in one module-level decimal context whatever the
+caller's; verification always reconstructs from the exact field.
 JSON carries ``{method, graph, values: [{vertex, num, den}]}``.  Uniform
 closed-form reports use ``*`` as the vertex of their single row.  Callers may
 supply their own vertex labels (coordinate tuples, say); labels containing
@@ -18,7 +19,7 @@ from __future__ import annotations
 import io
 import sys
 from contextlib import contextmanager
-from decimal import Decimal, localcontext
+from decimal import Context, Decimal
 from fractions import Fraction
 from typing import Sequence
 
@@ -27,6 +28,7 @@ from .graph import Record, is_int
 UNIFORM_VERTEX = "*"
 _CSV_HEADER = ("vertex", "betweenness", "decimal")
 DECIMAL_DIGITS = 12
+_DECIMAL = Context(prec=DECIMAL_DIGITS)
 # the longest integer field a reader converts: int() of text is quadratic in its length (0.1 s here)
 MAX_READ_DIGITS = 100_000
 
@@ -70,19 +72,14 @@ def _fraction(num: object, den: object, where: str) -> Fraction:
 
 def parse_fraction(text: str, where: str = "fraction") -> Fraction:
     num, _, den = text.partition("/")
-    if not den:
-        raise ValueError(f"{where}: expected 'p/q', got {text!r}")
-    value = _fraction(_read_int(num), _read_int(den), where)
-    # int() also takes signs, spaces, underscores and non-ASCII digits, none of which a report writes
+    # checked first: int() also takes signs, spaces, underscores and non-ASCII digits, none of which a report writes
     if not (text.isascii() and num.isdigit() and den.isdigit()):
         raise ValueError(f"{where}: expected 'p/q' in ASCII digits, got {text!r}")
-    return value
+    return _fraction(_read_int(num), _read_int(den), where)
 
 
 def decimal_str(value: Fraction) -> str:
-    with localcontext() as ctx:
-        ctx.prec = DECIMAL_DIGITS
-        return str(Decimal(value.numerator) / Decimal(value.denominator))
+    return _DECIMAL.to_sci_string(_DECIMAL.divide(Decimal(value.numerator), Decimal(value.denominator)))
 
 
 @contextmanager

@@ -628,9 +628,13 @@ def test_uniform_closed_form_builds_nothing(capsys, monkeypatch, sizes):
     assert values_from_csv(out) == {"*": hamming_bc(sizes)}
 
 
-@pytest.mark.parametrize("request_", [["hamming", "1500"], ["hypercube", "12"], ["torus", "5", "7"]], ids=" ".join)
+@pytest.mark.parametrize(
+    "request_", [["hamming", "1500"], ["hypercube", "12"], ["torus", "5", "7"], ["cycle", "5"], ["complete", "4"]],
+    ids=" ".join,
+)
 def test_uniform_closed_form_refuses_coordinates_before_building(capsys, monkeypatch, request_):
-    # the family name tells that the report has one '*' row, so no factor is built to learn it
+    # the closed form's one value tells that the report has one '*' row, so no factor is built to learn it,
+    # and a single cycle or complete graph is refused as uniform, not as an input that is no product
     import boxbc.generators
 
     def refused(*args, **kwargs):
@@ -644,16 +648,6 @@ def test_uniform_closed_form_refuses_coordinates_before_building(capsys, monkeyp
     # bad parameters are still a validation error first
     bad = ("bc", "--family", request_[0], "0", *request_[2:], "--method", "closed-form", "--labels", "coords")
     assert run_cli(capsys, *bad)[0] == 2
-
-
-def test_uniform_products_are_the_product_closed_forms_with_one_value():
-    # cli refuses coordinate labels from this table, before any closed form runs
-    import boxbc.cli as cli
-    import boxbc.generators as generators
-
-    least = {f: [generators._RULES[f][2]] * (generators._RULES[f][1] or 1) for f in generators._FACTORS}
-    uniform = {f for f, params in least.items() if not isinstance(cli._closed_form(f, params), tuple)}
-    assert uniform == set(cli._UNIFORM_PRODUCTS)
 
 
 def test_exact_values_print_past_the_int_digit_cap(capsys, tmp_path):
@@ -705,11 +699,16 @@ _ROUTE_WATCH = tuple(f"boxbc.{m.name}" for m in pkgutil.iter_modules(boxbc.__pat
             ["boxbc.cli", "boxbc.generators", "boxbc.graph", "boxbc.product", "boxbc.report", "csv"],
         ),
         (
+            # generators imports product at module level, so a uniform closed form loads it without calling it
+            ["bc", "--family", "hamming", "2", "3", "--method", "closed-form"],
+            ["boxbc.cli", "boxbc.generators", "boxbc.graph", "boxbc.product", "boxbc.report", "csv"],
+        ),
+        (
             ["bc", "--factors", "{k2},{p3}"],
             ["boxbc.centrality", "boxbc.cli", "boxbc.graph", "boxbc.product", "boxbc.report", "csv"],
         ),
     ],
-    ids=["factorized csv", "factorized json", "grid closed-form", "brandes csv"],
+    ids=["factorized csv", "factorized json", "grid closed-form", "uniform closed-form", "brandes csv"],
 )
 def test_route_loads_only_its_modules(tmp_path, argv, loaded):
     files = _write_factors(tmp_path)

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import random
+from decimal import ROUND_DOWN, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 
 from boxbc import CentralityReport, betweenness, grid, torus
 from boxbc.report import (
+    DECIMAL_DIGITS,
     MAX_READ_DIGITS,
+    _uncapped_int_text,
     decimal_str,
     fraction_str,
     parse_fraction,
@@ -29,6 +33,27 @@ def test_decimal_rendering():
     assert decimal_str(Fraction(4, 3)) == "1.33333333333"
     assert decimal_str(Fraction(5)) == "5"
     assert decimal_str(Fraction(1, 2)) == "0.5"
+
+
+def test_decimal_column_is_decimal_division_in_a_12_digit_context():
+    rng = random.Random(29)
+    values = [Fraction(rng.randrange(10 ** rng.randrange(1, 40)), rng.randrange(1, 10 ** rng.randrange(1, 40)))
+              for _ in range(2000)]
+    # exponent forms both ways, and a numerator past Python's 4,300-digit int-to-text cap
+    values += [Fraction(10**20, 3), Fraction(1, 10**20), Fraction(7 * 10**5000 + 1, 3)]
+    with _uncapped_int_text(), localcontext() as ctx:
+        ctx.prec = DECIMAL_DIGITS
+        for value in values:
+            assert decimal_str(value) == str(Decimal(value.numerator) / Decimal(value.denominator))
+    assert decimal_str(Fraction(10**20, 3)) == "3.33333333333E+19"
+    assert decimal_str(Fraction(1, 10**20)) == "1E-20"
+
+
+def test_decimal_column_ignores_the_callers_decimal_context():
+    values = (Fraction(2, 3), Fraction(10**20, 3), Fraction(1, 10**20))
+    with localcontext() as ctx:
+        ctx.rounding, ctx.prec, ctx.capitals = ROUND_DOWN, 3, 0
+        assert [decimal_str(v) for v in values] == ["0.666666666667", "3.33333333333E+19", "1E-20"]
 
 
 def test_csv_roundtrip_exact():
@@ -97,7 +122,7 @@ ENTRY = '{"method": "brandes", "graph": "g", "values": [{"vertex": 0, %s}]}'
     "reader, text, match",
     [
         pytest.param(values_from_csv, CSV_HEADER + "0,1/0,x\n", "line 2:.* 1 over 0$", id="csv-zero-den"),
-        pytest.param(values_from_csv, CSV_HEADER + "0,1/-2,x\n", "line 2:.* 1 over -2$", id="csv-negative-den"),
+        pytest.param(values_from_csv, CSV_HEADER + "0,1/-2,x\n", "line 2: .*ASCII digits", id="csv-negative-den"),
         pytest.param(values_from_csv, CSV_HEADER + "0,1/2\n", "line 2: expected 3 fields", id="csv-two-fields"),
         pytest.param(values_from_csv, CSV_HEADER + "0,1/2,0.5,x\n", "line 2: expected 3 fields", id="csv-four-fields"),
         pytest.param(report_from_json, ENTRY % '"num": 1.5, "den": 1', r"values\[0\]:.* 1.5 over 1$", id="json-float"),
@@ -110,6 +135,8 @@ ENTRY = '{"method": "brandes", "graph": "g", "values": [{"vertex": 0, %s}]}'
         pytest.param(values_from_csv, CSV_HEADER + "0, 1/2,x\n", "line 2: .*ASCII digits", id="csv-space"),
         pytest.param(values_from_csv, CSV_HEADER + "0,1_0/3,x\n", "line 2: .*ASCII digits", id="csv-underscore"),
         pytest.param(values_from_csv, CSV_HEADER + "0,-1/2,x\n", "line 2: .*ASCII digits", id="csv-negative"),
+        pytest.param(values_from_csv, CSV_HEADER + "0,1/x,y\n", "line 2: .*ASCII digits", id="csv-letter"),
+        pytest.param(values_from_csv, CSV_HEADER + "0,1/2/3,y\n", "line 2: .*ASCII digits", id="csv-two-slashes"),
         pytest.param(values_from_csv, "vertex,b,d\n0,1/2,x\n", "line 1: expected the header", id="csv-header-names"),
         pytest.param(values_from_csv, CSV_HEADER + "0,1/2,x\n0,1/3,x\n", "line 3: .*'0' already given on line 2$",
                      id="csv-repeated-vertex"),
