@@ -96,7 +96,7 @@ def check_family(family: str, *params: int) -> None:
 
 
 # product family -> its factors in coordinate order: the only copy, read by
-# the builders above, ``grid_bc``, ``bc --labels coords`` and the bench ladders
+# the builders above, ``grid_bc``, ``gen`` and ``bc``
 _FACTORS: dict[str, Callable[..., list[Graph]]] = {
     "grid": lambda m, n: [path(m), path(n)],
     "hypercube": lambda r: [complete(2)] * r,

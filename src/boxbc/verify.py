@@ -22,8 +22,8 @@ from typing import Callable, Iterator, Sequence
 
 from .centrality import _definitional, betweenness
 from .generators import (
-    _cycle_product_bc, complete, cycle, cycle_product_wiener, even_cycles_bc, family_factors, grid, grid_bc, hamming,
-    hamming_bc, hypercube, hypercube_bc, odd_cycles_bc, path, star, torus, torus_bc,
+    _cycle_product_bc, complete, cycle, cycle_product_wiener, even_cycles_bc, grid, grid_bc, hamming, hamming_bc,
+    hypercube, hypercube_bc, odd_cycles_bc, path, star, torus, torus_bc,
 )
 from .graph import (
     Graph,
@@ -53,8 +53,6 @@ from .product import (
     product_wiener,
 )
 from .report import CentralityReport, report_from_json, report_to_csv, report_to_json, values_from_csv
-
-SCOPES = ("core", "products", "closed-forms", "sum-identity", "cli", "all")
 
 
 class CheckResult(Record):
@@ -179,6 +177,14 @@ def _size_multisets(min_size: int, max_product: int) -> Iterator[tuple[int, ...]
     yield from extend((), min_size, max_product)
 
 
+def _agree(label: str, **routes: Sequence) -> None:
+    """Raise at the first vertex where the routes' values differ, naming each route's value there."""
+    for x, values in enumerate(zip(*routes.values(), strict=True)):
+        if len(set(values)) > 1:
+            shown = ", ".join(f"{route} {value}" for route, value in zip(routes, values))
+            raise CheckFailure(f"{label}: vertex {x}: {shown}")
+
+
 # ---------------------------------------------------------------------------
 # core scope
 
@@ -230,13 +236,7 @@ def _check_geodesic_tables() -> str:
 @_check("core", "method-agreement")
 def _check_method_agreement() -> str:
     for label, g in _core_instances():
-        by_def = _definitional(g)
-        by_brandes = betweenness(g)
-        if by_def != by_brandes:
-            x = next(i for i, (a, b) in enumerate(zip(by_def, by_brandes)) if a != b)
-            raise CheckFailure(
-                f"{label}: vertex {x}: definitional {by_def[x]} != brandes {by_brandes[x]}"
-            )
+        _agree(label, definitional=_definitional(g), brandes=betweenness(g))
     return f"definitional and accumulation routes agree on {len(_core_instances())} graphs"
 
 
@@ -331,64 +331,42 @@ def _check_edge_stream() -> str:
     return f"streamed edge lists match the materialized products on {len(products)} products ({edges} edges)"
 
 
-def _pair_sweep(subject: Callable[..., int], symbol: str, field: str) -> int:
-    """Compare ``subject(spec, u, v)`` with the BFS tables' ``field`` row on every product pair; count the pairs."""
+@_check("products", "pair-agreement")
+def _check_pair_agreement() -> str:
+    # distance additivity, and sigma as the interleavings of factor geodesics
     pairs = 0
     for label, spec, coords, tables, u, v in _product_pairs(64, 6):
-        want = getattr(tables[u], field)[v]
-        got = subject(spec, coords[u], coords[v])
-        if got != want:
-            raise CheckFailure(f"{label}: {symbol}({coords[u]},{coords[v]}) = {got} != {want}")
+        cu, cv, tu = coords[u], coords[v], tables[u]
+        d, sigma = product_distance(spec, cu, cv), product_sigma(spec, cu, cv)
+        if d != tu.dist[v]:
+            raise CheckFailure(f"{label}: d({cu},{cv}) = {d} != {tu.dist[v]}")
+        if sigma != tu.sigma[v]:
+            raise CheckFailure(f"{label}: sigma({cu},{cv}) = {sigma} != {tu.sigma[v]}")
         pairs += 1
-    return pairs
+    return f"coordinate distances and factorized geodesic counts match BFS on {pairs} pairs"
 
 
-@_check("products", "distance-additivity")
-def _check_distance_additivity() -> str:
-    return f"coordinate distances match materialized distances on {_pair_sweep(product_distance, 'd', 'dist')} pairs"
-
-
-@_check("products", "sigma-agreement")
-def _check_sigma_agreement() -> str:
-    return f"factorized geodesic counts match BFS counts on {_pair_sweep(product_sigma, 'sigma', 'sigma')} pairs"
-
-
-@_check("products", "dependency-agreement")
-def _check_dependency_agreement() -> str:
-    triples = 0
+@_check("products", "triple-agreement")
+def _check_triple_agreement() -> str:
+    # the per-factor interval test at every x, and the factored pair dependency at every x off the endpoints
+    memberships = dependencies = 0
     for label, spec, coords, tables, u, v in _product_pairs(36, 5):
-        tu, tv = tables[u], tables[v]
+        cu, cv, tu, tv = coords[u], coords[v], tables[u], tables[v]
         duv, suv = tu.dist[v], tu.sigma[v]
-        for x in range(len(coords)):
+        for x, cx in enumerate(coords):
+            between = tu.dist[x] + tv.dist[x] == duv
+            member = interval_membership(spec, cu, cv, cx)
+            if member is not between:
+                raise CheckFailure(f"{label}: membership of {cx} between {cu} and {cv}: {member} != {between}")
+            memberships += 1
             if x in (u, v):
                 continue
-            got = product_pair_dependency(spec, coords[u], coords[v], coords[x])
-            through = tu.sigma[x] * tv.sigma[x] if tu.dist[x] + tv.dist[x] == duv else 0
-            if got.numerator * suv != through * got.denominator:
-                raise CheckFailure(
-                    f"{label}: delta({coords[u]},{coords[v]}|{coords[x]})"
-                    f" = {got} != {Fraction(through, suv)}"
-                )
-            triples += 1
-    return f"factorized dependencies match materialized ones on {triples} triples"
-
-
-@_check("products", "interval-characterization")
-def _check_interval_characterization() -> str:
-    triples = 0
-    for label, spec, coords, tables, u, v in _product_pairs(36, 5):
-        du, dv = tables[u].dist, tables[v].dist
-        duv = du[v]
-        for x in range(len(coords)):
-            want = du[x] + dv[x] == duv
-            got = interval_membership(spec, coords[u], coords[v], coords[x])
-            if got is not want:
-                raise CheckFailure(
-                    f"{label}: membership of {coords[x]} between"
-                    f" {coords[u]} and {coords[v]}: {got} != {want}"
-                )
-            triples += 1
-    return f"per-factor interval test matches the distance test on {triples} triples"
+            delta = product_pair_dependency(spec, cu, cv, cx)
+            through = tu.sigma[x] * tv.sigma[x] if between else 0
+            if delta.numerator * suv != through * delta.denominator:
+                raise CheckFailure(f"{label}: delta({cu},{cv}|{cx}) = {delta} != {Fraction(through, suv)}")
+            dependencies += 1
+    return f"interval tests and factorized dependencies match BFS on {memberships} and {dependencies} triples"
 
 
 @_check("products", "fiber-convexity")
@@ -438,19 +416,12 @@ def _check_betweenness_agreement() -> str:
         # the reversed factor order labels the same product differently
         for order in dict.fromkeys((factors, factors[::-1])):
             pg = _materialize(order)
-            by_brandes = betweenness(pg.graph)
-            by_def = _definitional(pg.graph)
-            by_factors = factorized_betweenness_all(pg.spec)
-            if not by_brandes == by_def == by_factors:
-                x = next(
-                    i for i in range(len(by_brandes))
-                    if not by_brandes[i] == by_def[i] == by_factors[i]
-                )
-                raise CheckFailure(
-                    f"{label}{'' if order == factors else ' reversed'}: vertex {x}:"
-                    f" brandes {by_brandes[x]}, definitional {by_def[x]},"
-                    f" factorized {by_factors[x]}"
-                )
+            _agree(
+                f"{label}{'' if order == factors else ' reversed'}",
+                brandes=betweenness(pg.graph),
+                definitional=_definitional(pg.graph),
+                factorized=factorized_betweenness_all(pg.spec),
+            )
     return f"three betweenness routes agree on {len(_agreement_instances())} products"
 
 
@@ -522,17 +493,12 @@ def _debruijn_count(k: int, n: int) -> int:
     return factorial(k * n) // factorial(n) ** k
 
 
-def _family_sweep(label: str, g: Graph, expected: Fraction) -> None:
-    for x, value in enumerate(betweenness(g)):
-        if value != expected:
-            raise CheckFailure(f"{label}: vertex {x}: formula {expected} != brandes {value}")
-
-
 @_check("closed-forms", "hamming")
 def _check_hamming() -> str:
     count = 0
     for sizes in _size_multisets(2, 64):
-        _family_sweep(f"H{list(sizes)}", hamming(*sizes), hamming_bc(sizes))
+        g = hamming(*sizes)
+        _agree(f"H{list(sizes)}", formula=[hamming_bc(sizes)] * g.vertex_count, brandes=betweenness(g))
         count += 1
     return f"complete-factor formula matches accumulation on {count} instances"
 
@@ -581,7 +547,8 @@ def _check_cycle_products() -> str:
         parities = {n % 2 for n in sizes}
         form = even_cycles_bc if parities == {0} else odd_cycles_bc if parities == {1} else _cycle_product_bc
         value = form(sizes)
-        _family_sweep(f"C{list(sizes)}", _materialize(tuple(cycle(n) for n in sizes)).graph, value)
+        g = _materialize(tuple(cycle(n) for n in sizes)).graph
+        _agree(f"C{list(sizes)}", formula=[value] * g.vertex_count, brandes=betweenness(g))
         if len(sizes) == 2 and torus_bc(*sizes) != value:
             raise CheckFailure(f"C{list(sizes)}: torus form {torus_bc(*sizes)} != cycle-product form {value}")
         count += 1
@@ -778,19 +745,27 @@ def _check_report_exactness() -> str:
     return f"serialized reports reconstruct exactly on {len(reports)} reports"
 
 
+SCOPES = (*dict.fromkeys(scope for scope, _, _ in _CHECKS), "all")
+
+
 # ---------------------------------------------------------------------------
 # timing ladders: each rung is timed end to end from its factor graphs, so the
 # brandes route pays for materializing the product before accumulating
 
-# family -> (least ladder size, instance label, parameter count, vertex count);
-# rung m is the family instance whose parameters all equal m
+# family -> (least m, instance label, rung); rung(m) lists the factors of
+# rung m as (builder, vertex count) pairs, so its size is known unbuilt
 _LADDERS = {
-    "torus": (3, "C_{m} x C_{m}", 2, lambda m: m * m),
-    "hamming": (2, "K_{m} x K_{m}", 2, lambda m: m * m),
-    "grid": (2, "P_{m} x P_{m}", 2, lambda m: m * m),
-    "hypercube": (1, "Q_{m}", 1, lambda m: 2**m),
+    "torus": (3, "C_{m} x C_{m}", lambda m: [(cycle, m)] * 2),
+    "hamming": (2, "K_{m} x K_{m}", lambda m: [(complete, m)] * 2),
+    "grid": (2, "P_{m} x P_{m}", lambda m: [(path, m)] * 2),
+    "hypercube": (1, "Q_{m}", lambda m: [(complete, 2)] * m),
 }
 BENCH_FAMILIES = tuple(_LADDERS)
+
+
+def family_factors(family: str, m: int) -> list[Graph]:
+    """The factor graphs of rung *m* of *family*'s ladder, one per ``(builder, vertex count)`` pair."""
+    return [build(count) for build, count in _LADDERS[family][2](m)]
 
 # method -> largest product, in vertices, it may be timed on.  The caps keep an
 # accidental ladder size from running for hours: Brandes works on the
@@ -813,7 +788,8 @@ def run_bench(
     """Time every ladder instance with every requested method, in a deterministic row order.
 
     Rungs grow with ``m``, so the first rung over a requested method's cap is
-    found from the vertex counts and refused before any rung is built or timed.
+    found from the vertex counts its factors list and refused before any rung
+    is built or timed.
     """
     if not methods:
         raise GraphError(f"bench needs at least one method; expected some of {', '.join(BENCH_METHODS)}")
@@ -824,25 +800,26 @@ def run_bench(
             raise GraphError(f"bench method {method!r} is given twice")
     if family not in _LADDERS:
         raise GraphError(f"unknown bench family {family!r}; expected one of {', '.join(BENCH_FAMILIES)}")
-    low, label, count, vertices = _LADDERS[family]
+    low, label, rung = _LADDERS[family]
     if maximum < low:
         raise GraphError(f"bench family {family!r} needs a maximum of at least {low}")
-    rungs = range(low, maximum + 1)
-    for m in rungs:
+    sizes = {}
+    for m in range(low, maximum + 1):
+        n = sizes[m] = prod(count for _, count in rung(m))
         for method in methods:
-            if vertices(m) > BENCH_METHODS[method]:
-                n, cap = vertices(m), BENCH_METHODS[method]
+            if n > BENCH_METHODS[method]:
+                cap = BENCH_METHODS[method]
                 raise GraphError(f"{label.format(m=m)} has {n} vertices; {method} bench instances are capped at {cap}")
     rows = []
-    for m in rungs:
-        factors = family_factors(family, *[m] * count)
+    for m, n in sizes.items():
+        factors = family_factors(family, m)
         for method in methods:
             start = perf_counter()
             if method == "brandes":
                 betweenness(cartesian_product(factors).graph)
             else:
                 factorized_betweenness_all(product_spec(factors))
-            rows.append(BenchRow(label.format(m=m), vertices(m), method, perf_counter() - start))
+            rows.append(BenchRow(label.format(m=m), n, method, perf_counter() - start))
     return rows
 
 

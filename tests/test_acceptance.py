@@ -1,18 +1,19 @@
 """Acceptance gate: every ``boxbc verify`` check as its own test.
 
 One module-scoped ``run_verify("all")`` feeds one test per entry of
-``verify._CHECKS``, so each check body runs once and a failing test shows
-that check's counterexample; ``--durations`` lists that run as the setup of
+``verify._CHECKS`` (one per lemma for the two merged product walks), so each
+check body runs once and a failing test shows that check's counterexample; ``--durations`` lists that run as the setup of
 the first test.  A check's seconds include any memoized product or table it
 is the first to build (see ``run_verify``).
 
 ``tests/verify_all.txt`` pins every line ``boxbc verify --scope all`` prints
-from that run, without its seconds.  The remaining tests guard the harness
-itself: the product sweeps keep their instance counts and catch a single
-wrong value of the function under test, the basket holds no labeled graph
-twice, the hypercubes and tori are graphs the hamming and cycle-products
-checks accumulate, every budget names a check, the one-cycle multisets reach
-C_64, and one raising check fails alone.
+from that run, without its seconds, and so the instance counts of every
+sweep.  The remaining tests guard the harness itself: the product walks
+catch a single wrong value of each function under test, the per-vertex
+sweeps name every route's value at the first vertex that differs, the
+basket holds no labeled graph twice, the hypercubes and tori are graphs the
+hamming and cycle-products checks accumulate, every budget names a check,
+the one-cycle multisets reach C_64, and one raising check fails alone.
 """
 
 from __future__ import annotations
@@ -27,7 +28,15 @@ from boxbc import DisconnectedGraphError, cli, complete, cycle, hamming, hypercu
 from boxbc.verify import _CHECKS, CheckFailure, run_verify
 
 SUITE_BUDGET = 300.0
-BUDGETS = {"betweenness-agreement": 60.0, "grid": 30.0, "anchors": 10.0, "hypercube": 10.0, "torus": 10.0}
+BUDGETS = {
+    "pair-agreement": 30.0,
+    "triple-agreement": 60.0,
+    "betweenness-agreement": 60.0,
+    "grid": 30.0,
+    "anchors": 10.0,
+    "hypercube": 10.0,
+    "torus": 10.0,
+}
 
 
 @pytest.fixture(scope="module")
@@ -35,10 +44,24 @@ def results():
     return {f"{r.scope}/{r.name}": r for r in run_verify("all")}
 
 
-@pytest.mark.parametrize("check", [f"{scope}/{name}" for scope, name, _ in _CHECKS])
-def test_check(results, check):
+# the merged product walks answer for each lemma they check, under that lemma's name and with the
+# words of the walk's detail that claim it; every other check answers under its own name
+LEMMAS = {
+    "pair-agreement": {"distance-additivity": "coordinate distances", "sigma-agreement": "geodesic counts"},
+    "triple-agreement": {"interval-characterization": "interval tests", "dependency-agreement": "dependencies"},
+}
+CHECK_CASES = [
+    pytest.param(f"{scope}/{name}", claim, id=f"{scope}/{lemma}")
+    for scope, name, _ in _CHECKS
+    for lemma, claim in LEMMAS.get(name, {name: ""}).items()
+]
+
+
+@pytest.mark.parametrize("check, claim", CHECK_CASES)
+def test_check(results, check, claim):
     result = results[check]
     assert result.passed, result.detail
+    assert claim in result.detail
     budget = BUDGETS.get(result.name, SUITE_BUDGET)
     assert result.seconds < budget, f"took {result.seconds:.1f} s, budget {budget:.0f} s"
 
@@ -55,34 +78,21 @@ def test_verify_prints_the_pinned_lines(results, monkeypatch, capsys):
     assert lines == Path(__file__).with_name("verify_all.txt").read_text().splitlines()
 
 
-SWEEP_DETAILS = {
-    "products/distance-additivity": "coordinate distances match materialized distances on 243732 pairs",
-    "products/sigma-agreement": "factorized geodesic counts match BFS counts on 243732 pairs",
-    "products/dependency-agreement": "factorized dependencies match materialized ones on 993162 triples",
-    "products/interval-characterization": "per-factor interval test matches the distance test on 1067772 triples",
-}
-
-
-@pytest.mark.parametrize("check", SWEEP_DETAILS)
-def test_product_sweeps_keep_their_instances(results, check):
-    assert results[check].detail == SWEEP_DETAILS[check]
-
-
 # (check, patched name, coordinates where the patch is wrong, wrong value, expected detail);
-# the first products swept are P_2, then P_3 in the triple checks
+# the first products walked are P_2, then P_3 in the triple walk
 FAULTS = [
-    ("distance-additivity", "product_distance", ((0,), (1,)), 2, "P_2: d((0,),(1,)) = 2 != 1"),
-    ("sigma-agreement", "product_sigma", ((0,), (1,)), 2, "P_2: sigma((0,),(1,)) = 2 != 1"),
+    ("pair-agreement", "product_distance", ((0,), (1,)), 2, "P_2: d((0,),(1,)) = 2 != 1"),
+    ("pair-agreement", "product_sigma", ((0,), (1,)), 2, "P_2: sigma((0,),(1,)) = 2 != 1"),
     (
-        "dependency-agreement", "product_pair_dependency", ((0,), (2,), (1,)), Fraction(1, 2),
+        "triple-agreement", "product_pair_dependency", ((0,), (2,), (1,)), Fraction(1, 2),
         "P_3: delta((0,),(2,)|(1,)) = 1/2 != 1",
     ),
     (
-        "dependency-agreement", "product_pair_dependency", ((0,), (1,), (2,)), Fraction(1, 2),
+        "triple-agreement", "product_pair_dependency", ((0,), (1,), (2,)), Fraction(1, 2),
         "P_3: delta((0,),(1,)|(2,)) = 1/2 != 0",
     ),
     (
-        "interval-characterization", "interval_membership", ((0,), (2,), (1,)), False,
+        "triple-agreement", "interval_membership", ((0,), (2,), (1,)), False,
         "P_3: membership of (1,) between (0,) and (2,): False != True",
     ),
 ]
@@ -92,6 +102,27 @@ FAULTS = [
 def test_product_sweeps_catch_a_single_wrong_value(monkeypatch, check, name, wrong_at, wrong, detail):
     original = getattr(verify, name)
     monkeypatch.setattr(verify, name, lambda spec, *coords: wrong if coords == wrong_at else original(spec, *coords))
+    body = next(fn for _, n, fn in _CHECKS if n == check)
+    with pytest.raises(CheckFailure) as failure:
+        body()
+    assert str(failure.value) == detail
+
+
+# (check, patched name, its wrong stand-in, expected detail): the first instances compared are P_2 in the
+# core scope, K_2 (H[2]) in the hamming check and P_2 x P_2, a 4-cycle, in betweenness-agreement
+VERTEX_FAULTS = [
+    ("method-agreement", "_definitional", lambda g: (0, 1), "P_2: vertex 1: definitional 1, brandes 0"),
+    ("hamming", "hamming_bc", lambda sizes: Fraction(1, 3), "H[2]: vertex 0: formula 1/3, brandes 0"),
+    (
+        "betweenness-agreement", "factorized_betweenness_all", lambda spec: (0,) * spec.vertex_count,
+        "P_2 x P_2: vertex 0: brandes 1/2, definitional 1/2, factorized 0",
+    ),
+]
+
+
+@pytest.mark.parametrize("check, name, wrong, detail", VERTEX_FAULTS)
+def test_vertex_sweeps_name_each_route_at_the_first_wrong_vertex(monkeypatch, check, name, wrong, detail):
+    monkeypatch.setattr(verify, name, wrong)
     body = next(fn for _, n, fn in _CHECKS if n == check)
     with pytest.raises(CheckFailure) as failure:
         body()

@@ -9,7 +9,6 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
-from math import prod
 from pathlib import Path
 
 import pytest
@@ -19,7 +18,6 @@ from boxbc import (
     cartesian_product,
     complete,
     cycle,
-    family_factors,
     format_edge_list,
     graph_from_edges,
     grid,
@@ -31,7 +29,7 @@ from boxbc import (
 )
 from boxbc.cli import main
 from boxbc.report import report_from_json, values_from_csv
-from boxbc.verify import _LADDERS, CheckFailure
+from boxbc.verify import _LADDERS, CheckFailure, family_factors, run_bench
 
 
 def run_cli(capsys, *argv):
@@ -388,9 +386,26 @@ def test_bench_refuses_a_repeated_method(capsys):
 
 @pytest.mark.parametrize("family", ["torus", "hamming", "grid", "hypercube"])
 def test_bench_vertex_count_rule_matches_the_built_factors(family):
-    low, _, count, vertices = _LADDERS[family]
+    # run_bench sizes a rung from the counts its factors list, before building them
+    low, _, rung = _LADDERS[family]
     for m in range(low, low + 4):
-        assert vertices(m) == prod(g.vertex_count for g in family_factors(family, *[m] * count))
+        assert [g.vertex_count for g in family_factors(family, m)] == [count for _, count in rung(m)]
+
+
+# each ladder's four smallest rungs, pinned so that rewriting a rung can neither relabel nor resize it
+BENCH_RUNGS = {
+    "torus": [("C_3 x C_3", 9), ("C_4 x C_4", 16), ("C_5 x C_5", 25), ("C_6 x C_6", 36)],
+    "hamming": [("K_2 x K_2", 4), ("K_3 x K_3", 9), ("K_4 x K_4", 16), ("K_5 x K_5", 25)],
+    "grid": [("P_2 x P_2", 4), ("P_3 x P_3", 9), ("P_4 x P_4", 16), ("P_5 x P_5", 25)],
+    "hypercube": [("Q_1", 2), ("Q_2", 4), ("Q_3", 8), ("Q_4", 16)],
+}
+
+
+@pytest.mark.parametrize("family", BENCH_RUNGS)
+def test_bench_rungs_keep_their_labels_and_sizes(family):
+    rows = run_bench(family, _LADDERS[family][0] + 3)
+    want = [(label, n, method) for label, n in BENCH_RUNGS[family] for method in ("brandes", "factorized")]
+    assert [(row.instance, row.n, row.method) for row in rows] == want
 
 
 def test_bench_refuses_an_over_cap_ladder_before_building_a_factor(capsys, monkeypatch):
