@@ -1,17 +1,22 @@
 """Independent reference computations for the test suite.
 
-Nothing here shares code with the library: distances and geodesic counts
+The oracles share no code with the library: distances and geodesic counts
 come from integer powers of the adjacency matrix, dependencies and
 betweenness from exhaustive enumeration of every geodesic.  Slow on
-purpose; use small graphs.
+purpose; use small graphs.  Reports are read back with ``csv`` and ``json``
+alone, under the writers' lifted int-digit cap.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 from fractions import Fraction
 from functools import lru_cache
 
-from boxbc import Graph
+from boxbc import CentralityReport, Graph
+from boxbc.report import _uncapped_int_text
 
 
 def _matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
@@ -100,3 +105,19 @@ def enumerated_betweenness(g: Graph) -> tuple[Fraction, ...]:
                 for x in p[1:-1]:
                     acc[x] += share
     return tuple(acc)
+
+
+def csv_values(text: str) -> dict[str, Fraction]:
+    """Exact values of a CSV report keyed by vertex label; the decimal column is ignored."""
+    header, *rows = csv.reader(io.StringIO(text))
+    if header != ["vertex", "betweenness", "decimal"]:
+        raise ValueError(f"not a report header: {header!r}")
+    with _uncapped_int_text():
+        return {label: Fraction(exact) for label, exact, _ in rows}
+
+
+def json_report(text: str) -> CentralityReport:
+    with _uncapped_int_text():
+        payload = json.loads(text)
+    values = tuple(Fraction(entry["num"], entry["den"]) for entry in payload["values"])
+    return CentralityReport(payload["method"], payload["graph"], values, payload.get("uniform", False))

@@ -9,15 +9,17 @@ is the first to build (see ``run_verify``).
 ``tests/verify_all.txt`` pins every line ``boxbc verify --scope all`` prints
 from that run, without its seconds, and so the instance counts of every
 sweep.  The remaining tests guard the harness itself: the product walks
-catch a single wrong value of each function under test, the per-vertex
-sweeps name every route's value at the first vertex that differs, the
-basket holds no labeled graph twice, the hypercubes and tori are graphs the
-hamming and cycle-products checks accumulate, every budget names a check,
-the one-cycle multisets reach C_64, and one raising check fails alone.
+catch a single wrong value of each function under test, report-exactness
+catches a writer that gets one value wrong, the per-vertex sweeps name
+every route's value at the first vertex that differs, the basket holds no
+labeled graph twice, the hypercubes and tori are graphs the hamming and
+cycle-products checks accumulate, every budget names a check, the
+one-cycle multisets reach C_64, and one raising check fails alone.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -103,6 +105,36 @@ def test_product_sweeps_catch_a_single_wrong_value(monkeypatch, check, name, wro
     original = getattr(verify, name)
     monkeypatch.setattr(verify, name, lambda spec, *coords: wrong if coords == wrong_at else original(spec, *coords))
     body = next(fn for _, n, fn in _CHECKS if n == check)
+    with pytest.raises(CheckFailure) as failure:
+        body()
+    assert str(failure.value) == detail
+
+
+def _wrong_exact_field(text: str) -> str:
+    # vertex 0's row names a value one more than it carries; its decimal column is left as written
+    header, first, rest = text.split("\n", 2)
+    label, exact, decimal = first.split(",")
+    return "\n".join([header, f"{label},{Fraction(exact) + 1},{decimal}", rest])
+
+
+def _wrong_den(text: str) -> str:
+    payload = json.loads(text)
+    payload["values"][0]["den"] += 1
+    return json.dumps(payload)
+
+
+# (patched writer, its fault, expected detail): the first report read back is grid 3x3's
+REPORT_FAULTS = [
+    ("report_to_csv", _wrong_exact_field, "grid 3x3: CSV round trip lost exactness"),
+    ("report_to_json", _wrong_den, "grid 3x3: JSON round trip changed the report"),
+]
+
+
+@pytest.mark.parametrize("name, fault, detail", REPORT_FAULTS)
+def test_report_exactness_catches_a_faulty_writer(monkeypatch, name, fault, detail):
+    original = getattr(verify, name)
+    monkeypatch.setattr(verify, name, lambda report: fault(original(report)))
+    body = next(fn for _, n, fn in _CHECKS if n == "report-exactness")
     with pytest.raises(CheckFailure) as failure:
         body()
     assert str(failure.value) == detail

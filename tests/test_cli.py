@@ -28,8 +28,8 @@ from boxbc import (
     path,
 )
 from boxbc.cli import main
-from boxbc.report import report_from_json, values_from_csv
 from boxbc.verify import _LADDERS, CheckFailure, family_factors, run_bench
+from oracles import csv_values, json_report
 
 
 def run_cli(capsys, *argv):
@@ -144,7 +144,7 @@ def test_bc_closed_form_matches_brandes(capsys, family):
     for method in ("closed-form", "brandes"):
         code, out, err = run_cli(capsys, "bc", "--family", *family, "--method", method)
         assert code == 0, err
-        outputs[method] = values_from_csv(out)
+        outputs[method] = csv_values(out)
     closed, brandes = outputs["closed-form"], outputs["brandes"]
     if "*" in closed:
         assert list(closed) == ["*"]
@@ -245,7 +245,7 @@ def test_bc_family_factorized_matches_brandes(capsys, family):
     for method in ("factorized", "brandes"):
         code, out, err = run_cli(capsys, "bc", "--family", *family, "--method", method)
         assert code == 0, err
-        outputs[method] = values_from_csv(out)
+        outputs[method] = csv_values(out)
     assert outputs["factorized"] == outputs["brandes"]
 
 
@@ -622,7 +622,7 @@ def test_path_closed_form_searches_nothing(capsys, monkeypatch):
     monkeypatch.setattr(boxbc.graph, "breadth_first", refused)
     code, out, err = run_cli(capsys, "bc", "--family", "path", "300", "--method", "closed-form")
     assert code == 0, err
-    values = values_from_csv(out)
+    values = csv_values(out)
     assert len(values) == 300
     assert all(values[str(i)] == i * (299 - i) for i in range(300))
 
@@ -640,7 +640,7 @@ def test_uniform_closed_form_builds_nothing(capsys, monkeypatch, sizes):
         monkeypatch.setattr(boxbc.generators, name, refused)
     code, out, err = run_cli(capsys, "bc", "--family", "hamming", *map(str, sizes), "--method", "closed-form")
     assert (code, err) == (0, "")
-    assert values_from_csv(out) == {"*": hamming_bc(sizes)}
+    assert csv_values(out) == {"*": hamming_bc(sizes)}
 
 
 @pytest.mark.parametrize(
@@ -671,13 +671,13 @@ def test_exact_values_print_past_the_int_digit_cap(capsys, tmp_path):
     assert value == Fraction(14998 * 2**14999 + 1, 2)
     code, out, err = run_cli(capsys, "bc", "--family", "hypercube", "15000", "--method", "closed-form")
     assert (code, err) == (0, "")
-    # the readers lift the cap too, within their own bound on a field's length
-    assert values_from_csv(out) == {"*": value}
+    # read back exactly: the tests' reader lifts the cap too
+    assert csv_values(out) == {"*": value}
     code, out, err = run_cli(
         capsys, "bc", "--family", "hypercube", "15000", "--method", "closed-form", "--format", "json"
     )
     assert (code, err) == (0, "")
-    assert report_from_json(out).values == (value,)
+    assert json_report(out).values == (value,)
     if hasattr(sys, "get_int_max_str_digits"):
         # the cap is lifted only while the report is written: input parsing keeps it
         big = tmp_path / "big.el"
@@ -722,8 +722,20 @@ _ROUTE_WATCH = tuple(f"boxbc.{m.name}" for m in pkgutil.iter_modules(boxbc.__pat
             ["bc", "--factors", "{k2},{p3}"],
             ["boxbc.centrality", "boxbc.cli", "boxbc.graph", "boxbc.product", "boxbc.report", "csv"],
         ),
+        (
+            # generators imports product at module level, so a single cycle loads it without calling it
+            ["gen", "cycle", "5"],
+            ["boxbc.cli", "boxbc.generators", "boxbc.graph", "boxbc.product"],
+        ),
+        (["gen", "grid", "2", "3"], ["boxbc.cli", "boxbc.generators", "boxbc.graph", "boxbc.product"]),
+        (["product", "{k2}", "{p3}"], ["boxbc.cli", "boxbc.graph", "boxbc.product"]),
+        (["wiener", "{p3}"], ["boxbc.cli", "boxbc.graph"]),
+        (["wiener", "--factors", "{k2},{p3}"], ["boxbc.cli", "boxbc.graph", "boxbc.product"]),
     ],
-    ids=["factorized csv", "factorized json", "grid closed-form", "uniform closed-form", "brandes csv"],
+    ids=[
+        "factorized csv", "factorized json", "grid closed-form", "uniform closed-form", "brandes csv",
+        "gen cycle", "gen grid", "product", "wiener", "wiener factors",
+    ],
 )
 def test_route_loads_only_its_modules(tmp_path, argv, loaded):
     files = _write_factors(tmp_path)
