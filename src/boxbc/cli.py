@@ -16,7 +16,7 @@ import gc
 import os
 import sys
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import _EXPORTS, _bind_on_first_use
 from .graph import GraphError
@@ -87,10 +87,10 @@ def _family_request(values: list[str]) -> tuple[str, list[int]]:
 
 
 # family -> closed form: a value per vertex, or one value for every vertex
-_CLOSED_FORMS: dict[str, Callable[..., Fraction | tuple[Fraction, ...]]] = {
+_CLOSED_FORMS: dict[str, Callable[..., Fraction | Iterable[Fraction]]] = {
     "grid": lambda m, n: _self.factorized_betweenness_all(_self.product_spec(_self.family_factors("grid", m, n))),
     # a path is geodetic: vertex i lies on the one geodesic of each of its i * (n - 1 - i) separated pairs
-    "path": lambda n: tuple(Fraction(i * (n - 1 - i)) for i in range(n)),
+    "path": lambda n: (Fraction(i * (n - 1 - i)) for i in range(n)),
     "hypercube": lambda r: _self.hypercube_bc(r),
     "hamming": lambda *sizes: _self.hamming_bc(sizes),
     "torus": lambda m, n: _self.torus_bc(m, n),
@@ -100,7 +100,7 @@ _CLOSED_FORMS: dict[str, Callable[..., Fraction | tuple[Fraction, ...]]] = {
 }
 
 
-def _closed_form(family: str, params: list[int]) -> Fraction | tuple[Fraction, ...]:
+def _closed_form(family: str, params: list[int]) -> Fraction | Iterable[Fraction]:
     _self.check_family(family, *params)
     if family not in _CLOSED_FORMS:
         raise GraphError(f"no closed form for family {family!r}")
@@ -148,7 +148,7 @@ def cmd_bc(args: argparse.Namespace) -> int:
             # a closed form reads only the parameters, so it runs before any factor is built,
             # and gives one value when that value stands for every vertex
             values = _closed_form(family, params)
-            uniform = not isinstance(values, tuple)
+            uniform = isinstance(values, Fraction)
             if uniform and args.labels == "coords":
                 raise _UsageError("a uniform report has a single '*' row; coordinate labels do not apply")
         # coordinate labels need the factors
@@ -165,7 +165,7 @@ def cmd_bc(args: argparse.Namespace) -> int:
         values = _self.factorized_betweenness_all(spec)
     elif method == "brandes":
         values = _self.betweenness(materialize())
-    report = _self.CentralityReport(method, descriptor, (values,) if uniform else values, uniform)
+    report = _self.CentralityReport(method, descriptor, (values,) if uniform else tuple(values), uniform)
 
     labels = [str(c) for c in spec.coordinates()] if args.labels == "coords" else None
 

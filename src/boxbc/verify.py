@@ -1,9 +1,9 @@
 """Self-checking suites that cross-validate every computation route, and timing ladders that race two of them.
 
-Each check compares two independent routes to the same quantity (for
-example a closed-form formula against Brandes accumulation on the
-materialized graph) over a fixed instance set, and fails fast with a
-counterexample string.  ``run_verify`` executes the checks for one
+Each check walks one fixed instance set once and, at each instance,
+compares independent routes to every quantity it checks there (for example
+a closed-form formula against Brandes accumulation on the materialized
+graph), and fails fast with a counterexample string.  ``run_verify`` executes the checks for one
 scope, or all of them.  ``run_bench`` times the ``brandes`` and
 ``factorized`` routes on ladders of growing family instances.  Of the
 commands, only ``boxbc verify`` and ``boxbc bench`` load this module.
@@ -204,8 +204,19 @@ def _core_instances() -> tuple[tuple[str, Graph], ...]:
     return _basket() + extra
 
 
-@_check("core", "geodesic-tables")
-def _check_geodesic_tables() -> str:
+def _core_dependencies() -> Iterator[tuple[str, Graph, int, int, dict[int, Fraction]]]:
+    """``(label, g, u, v, {x: delta(u,v|x)})`` for each pair ``u < v`` of each core graph of at most 12 vertices."""
+    for label, g in _core_instances():
+        n = g.vertex_count
+        if n > 12:
+            continue
+        for u in range(n):
+            for v in range(u + 1, n):
+                yield label, g, u, v, {x: pair_dependency(g, u, v, x) for x in range(n) if x not in (u, v)}
+
+
+@_check("core", "graph-walk")
+def _check_graph_walk() -> str:
     checked = 0
     for label, g in _core_instances():
         tables = all_pairs_tables(g)
@@ -231,49 +242,28 @@ def _check_geodesic_tables() -> str:
         want = sum(sum(t.dist) for t in tables) // 2
         if got != want:
             raise CheckFailure(f"{label}: wiener {got} != total distance {want} from the BFS tables")
-    return f"geodesic recurrence holds at {checked} vertices across {len(_core_instances())} graphs"
-
-
-@_check("core", "method-agreement")
-def _check_method_agreement() -> str:
-    for label, g in _core_instances():
         _agree(label, definitional=_definitional(g), brandes=betweenness(g))
-    return f"definitional and accumulation routes agree on {len(_core_instances())} graphs"
+    return (
+        f"geodesic recurrence holds at {checked} vertices, and definitional and accumulation routes agree,"
+        f" across {len(_core_instances())} graphs"
+    )
 
 
-def _core_dependencies() -> Iterator[tuple[str, Graph, int, int, dict[int, Fraction]]]:
-    """``(label, g, u, v, {x: delta(u,v|x)})`` for each pair ``u < v`` of each core graph of at most 12 vertices."""
-    for label, g in _core_instances():
-        n = g.vertex_count
-        if n > 12:
-            continue
-        for u in range(n):
-            for v in range(u + 1, n):
-                yield label, g, u, v, {x: pair_dependency(g, u, v, x) for x in range(n) if x not in (u, v)}
-
-
-@_check("core", "dependency-range")
-def _check_dependency_range() -> str:
-    triples = 0
-    for label, _, u, v, deps in _core_dependencies():
+@_check("core", "dependency-walk")
+def _check_dependency_walk() -> str:
+    # Every interior vertex of a geodesic contributes, so the dependencies
+    # over x sum to d(u,v) - 1 exactly.
+    triples = pairs = 0
+    for label, g, u, v, deps in _core_dependencies():
         for x, value in deps.items():
             if not 0 <= value <= 1:
                 raise CheckFailure(f"{label}: delta({u},{v}|{x}) = {value} outside [0,1]")
             triples += 1
-    return f"pair dependencies within [0,1] on {triples} triples"
-
-
-@_check("core", "dependency-sum")
-def _check_dependency_sum() -> str:
-    # Every interior vertex of a geodesic contributes, so the dependencies
-    # over x sum to d(u,v) - 1 exactly.
-    pairs = 0
-    for label, g, u, v, deps in _core_dependencies():
         total = sum(deps.values())
         if total != distance(g, u, v) - 1:
             raise CheckFailure(f"{label}: sum_x delta({u},{v}|x) = {total} != d-1 = {distance(g, u, v) - 1}")
         pairs += 1
-    return f"dependency totals equal d(u,v)-1 on {pairs} pairs"
+    return f"pair dependencies within [0,1] on {triples} triples, and dependency totals equal d(u,v)-1 on {pairs} pairs"
 
 
 @_check("core", "geodetic-flags")
@@ -304,32 +294,33 @@ def _check_geodetic_flags() -> str:
 # products scope
 
 
-@_check("products", "labeling-roundtrip")
-def _check_labeling_roundtrip() -> str:
-    vertices = 0
-    for label, factors in _product_multisets(64, 6):
-        spec = product_spec(factors)
+@_check("products", "product-walk")
+def _check_product_walk() -> str:
+    products = _product_multisets(64, 6)
+    vertices = edges = 0
+    for label, factors in products:
+        spec, g = product_spec(factors), _materialize(factors).graph
         # coordinates() walks the radices in row-major order without encode or decode
         for vid, coords in enumerate(spec.coordinates()):
             if spec.encode(coords) != vid or spec.decode(vid) != coords:
                 raise CheckFailure(f"{label}: labeling broken at vertex {vid}")
             vertices += 1
-    return f"mixed-radix labels round-trip on {vertices} vertices"
-
-
-@_check("products", "edge-stream")
-def _check_edge_stream() -> str:
-    products = _product_multisets(64, 6)
-    edges = 0
-    for label, factors in products:
-        spec, g = product_spec(factors), _materialize(factors).graph
         streamed = list(spec.edges())
         if streamed != list(g.edges()):
             raise CheckFailure(f"{label}: streamed edges differ from the materialized product's")
         if format_edge_list(spec) != format_edge_list(g):
             raise CheckFailure(f"{label}: streamed edge-list text differs from the materialized product's")
         edges += len(streamed)
-    return f"streamed edge lists match the materialized products on {len(products)} products ({edges} edges)"
+        want, got = sum(diameter(f) for f in factors), diameter(g)
+        if got != want:
+            raise CheckFailure(f"{label}: diameter {got} != sum of factor diameters {want}")
+        want, got = wiener(g), product_wiener(factors)
+        if got != want:
+            raise CheckFailure(f"{label}: composed total distance {got} != BFS total {want}")
+    return (
+        f"mixed-radix labels round-trip on {vertices} vertices; on {len(products)} products streamed edge lists match"
+        f" the materialized ones ({edges} edges), diameters add and total-distance composition holds"
+    )
 
 
 @_check("products", "pair-agreement")
@@ -400,17 +391,6 @@ def _check_fiber_convexity() -> str:
     return f"fibers are isometric and convex on {checked} vertex pairs"
 
 
-@_check("products", "diameter-additivity")
-def _check_diameter_additivity() -> str:
-    for label, factors in _product_multisets(64, 6):
-        pg = _materialize(factors)
-        want = sum(diameter(g) for g in factors)
-        got = diameter(pg.graph)
-        if got != want:
-            raise CheckFailure(f"{label}: diameter {got} != sum of factor diameters {want}")
-    return f"diameters add across factors on {len(_product_multisets(64, 6))} products"
-
-
 @_check("products", "betweenness-agreement")
 def _check_betweenness_agreement() -> str:
     for label, factors in _agreement_instances():
@@ -424,17 +404,6 @@ def _check_betweenness_agreement() -> str:
                 factorized=factorized_betweenness_all(pg.spec),
             )
     return f"three betweenness routes agree on {len(_agreement_instances())} products"
-
-
-@_check("products", "wiener-agreement")
-def _check_wiener_agreement() -> str:
-    for label, factors in _product_multisets(64, 6):
-        pg = _materialize(factors)
-        want = wiener(pg.graph)
-        got = product_wiener(factors)
-        if got != want:
-            raise CheckFailure(f"{label}: composed total distance {got} != BFS total {want}")
-    return f"total-distance composition holds on {len(_product_multisets(64, 6))} products"
 
 
 @_check("products", "associativity")
@@ -496,23 +465,17 @@ def _debruijn_count(k: int, n: int) -> int:
 
 @_check("closed-forms", "hamming")
 def _check_hamming() -> str:
-    count = 0
+    count = uniform = 0
     for sizes in _size_multisets(2, 64):
         g = hamming(*sizes)
-        _agree(f"H{list(sizes)}", formula=[hamming_bc(sizes)] * g.vertex_count, brandes=betweenness(g))
+        routes = {"formula": [hamming_bc(sizes)] * g.vertex_count, "brandes": betweenness(g)}
+        # on a power of one complete graph the uniform specialization is a third route
+        if len(set(sizes)) == 1:
+            routes["uniform"] = [_uniform_kn_bc(sizes[0], len(sizes))] * g.vertex_count
+            uniform += 1
+        _agree(f"H{list(sizes)}", **routes)
         count += 1
-    return f"complete-factor formula matches accumulation on {count} instances"
-
-
-@_check("closed-forms", "uniform-complete")
-def _check_uniform_complete() -> str:
-    cases = [(n, r) for n in range(2, 7) for r in range(1, 7) if n**r <= 64]
-    for n, r in cases:
-        want = hamming_bc([n] * r)
-        got = _uniform_kn_bc(n, r)
-        if got != want:
-            raise CheckFailure(f"(n={n}, r={r}): uniform form {got} != general form {want}")
-    return f"uniform specialization agrees on {len(cases)} (n, r) pairs"
+    return f"complete-factor formula matches accumulation on {count} instances, the uniform specialization on {uniform}"
 
 
 @_check("closed-forms", "hypercube")
@@ -543,17 +506,22 @@ def _check_hypercube_sigma() -> str:
 
 @_check("closed-forms", "cycle-products")
 def _check_cycle_products() -> str:
+    # the one-cycle multisets C_3 .. C_64 compare each cycle's total-distance form with its BFS Wiener index
     count = 0
     for sizes in _size_multisets(3, 64):
         parities = {n % 2 for n in sizes}
         form = even_cycles_bc if parities == {0} else odd_cycles_bc if parities == {1} else _cycle_product_bc
         value = form(sizes)
-        g = _materialize(tuple(cycle(n) for n in sizes)).graph
+        factors = tuple(cycle(n) for n in sizes)
+        g = _materialize(factors).graph
         _agree(f"C{list(sizes)}", formula=[value] * g.vertex_count, brandes=betweenness(g))
         if len(sizes) == 2 and torus_bc(*sizes) != value:
             raise CheckFailure(f"C{list(sizes)}: torus form {torus_bc(*sizes)} != cycle-product form {value}")
+        want, got = product_wiener(factors), cycle_product_wiener(sizes)
+        if got != want:
+            raise CheckFailure(f"C{list(sizes)}: closed form {got} != composed {want}")
         count += 1
-    return f"cycle-product formulas match accumulation on {count} instances"
+    return f"cycle-product formulas match accumulation and the total-distance form agrees on {count} cycle multisets"
 
 
 @_check("closed-forms", "even-cycles-alt")
@@ -657,19 +625,6 @@ def _check_debruijn() -> str:
     return f"interleaving counts match lattice geodesics on {checked} (k, n) pairs"
 
 
-@_check("closed-forms", "cycle-product-wiener")
-def _check_cycle_product_wiener() -> str:
-    # the one-cycle multisets C_3 .. C_64 compare each cycle's form with its BFS Wiener index
-    count = 0
-    for sizes in _size_multisets(3, 64):
-        want = product_wiener(tuple(cycle(n) for n in sizes))
-        got = cycle_product_wiener(sizes)
-        if got != want:
-            raise CheckFailure(f"C{list(sizes)}: closed form {got} != composed {want}")
-        count += 1
-    return f"total-distance form agrees on {count} multisets of any parities"
-
-
 # ---------------------------------------------------------------------------
 # sum-identity scope
 
@@ -738,18 +693,19 @@ def _check_report_exactness() -> str:
         CentralityReport("brandes", "C_3 x P_4", betweenness(_materialize((cycle(3), path(4))).graph)),
     )
     for report in reports:
-        # read back with the standard library alone, each value from its exact field
-        exact = list(zip(_vertex_labels(report, None), report.values))
+        # read back with the standard library alone; an exact field is the value's text in lowest terms, no other
+        exact = [(x, v.numerator, v.denominator) for x, v in zip(_vertex_labels(report, None), report.values)]
         with _uncapped_int_text():
-            rows = list(csv.reader(io.StringIO(report_to_csv(report))))[1:]
-            payload = json.loads(report_to_json(report))
-        if [(row[0], Fraction(row[1])) for row in rows] != [(str(x), v) for x, v in exact]:
-            raise CheckFailure(f"{report.graph}: CSV round trip lost exactness")
-        entries = [(e["vertex"], Fraction(e["num"], e["den"])) for e in payload.pop("values")]
+            rows = [row[:2] for row in csv.reader(io.StringIO(report_to_csv(report)))][1:]
+            if rows != [[str(x), f"{num}/{den}"] for x, num, den in exact]:
+                raise CheckFailure(f"{report.graph}: CSV round trip lost exactness")
+            # a float is kept as its text, which equals no int
+            payload = json.loads(report_to_json(report), parse_float=str)
         fields = {"method": report.method, "graph": report.graph}
+        fields["values"] = [{"vertex": x, "num": num, "den": den} for x, num, den in exact]
         if report.uniform:
             fields["uniform"] = True
-        if payload != fields or entries != exact:
+        if payload != fields:
             raise CheckFailure(f"{report.graph}: JSON round trip changed the report")
     return f"serialized reports reconstruct exactly on {len(reports)} reports"
 
@@ -772,7 +728,7 @@ _LADDERS = {
 BENCH_FAMILIES = tuple(_LADDERS)
 
 
-def family_factors(family: str, m: int) -> list[Graph]:
+def _rung_factors(family: str, m: int) -> list[Graph]:
     """The factor graphs of rung *m* of *family*'s ladder, one per ``(builder, vertex count)`` pair."""
     return [build(count) for build, count in _LADDERS[family][2](m)]
 
@@ -821,7 +777,7 @@ def run_bench(
                 raise GraphError(f"{label.format(m=m)} has {n} vertices; {method} bench instances are capped at {cap}")
     rows = []
     for m, n in sizes.items():
-        factors = family_factors(family, m)
+        factors = _rung_factors(family, m)
         for method in methods:
             start = perf_counter()
             if method == "brandes":

@@ -1,7 +1,7 @@
 """Acceptance gate: every ``boxbc verify`` check as its own test.
 
 One module-scoped ``run_verify("all")`` feeds one test per entry of
-``verify._CHECKS`` (one per lemma for the two merged product walks), so each
+``verify._CHECKS`` (one per lemma for the folded walks), so each
 check body runs once and a failing test shows that check's counterexample; ``--durations`` lists that run as the setup of
 the first test.  A check's seconds include any memoized product or table it
 is the first to build (see ``run_verify``).
@@ -46,11 +46,21 @@ def results():
     return {f"{r.scope}/{r.name}": r for r in run_verify("all")}
 
 
-# the merged product walks answer for each lemma they check, under that lemma's name and with the
+# a folded walk answers for each lemma it checks, under that lemma's name and with the
 # words of the walk's detail that claim it; every other check answers under its own name
 LEMMAS = {
+    "graph-walk": {
+        "geodesic-tables": "geodesic recurrence", "method-agreement": "definitional and accumulation routes agree",
+    },
+    "dependency-walk": {"dependency-range": "within [0,1]", "dependency-sum": "equal d(u,v)-1"},
+    "product-walk": {
+        "labeling-roundtrip": "labels round-trip", "edge-stream": "streamed edge lists",
+        "diameter-additivity": "diameters add", "wiener-agreement": "total-distance composition",
+    },
     "pair-agreement": {"distance-additivity": "coordinate distances", "sigma-agreement": "geodesic counts"},
     "triple-agreement": {"interval-characterization": "interval tests", "dependency-agreement": "dependencies"},
+    "hamming": {"hamming": "complete-factor formula", "uniform-complete": "uniform specialization"},
+    "cycle-products": {"cycle-products": "cycle-product formulas", "cycle-product-wiener": "total-distance form"},
 }
 CHECK_CASES = [
     pytest.param(f"{scope}/{name}", claim, id=f"{scope}/{lemma}")
@@ -66,6 +76,29 @@ def test_check(results, check, claim):
     assert claim in result.detail
     budget = BUDGETS.get(result.name, SUITE_BUDGET)
     assert result.seconds < budget, f"took {result.seconds:.1f} s, budget {budget:.0f} s"
+
+
+def _body(check: str):
+    # the body of the check named *check*, or of the walk that answers for the lemma *check*
+    return next(fn for _, name, fn in _CHECKS if check == name or check in LEMMAS.get(name, {}))
+
+
+def test_check_ids_are_the_lemma_ids():
+    # a folded check keeps answering for every lemma it absorbed, so no id is lost, added or doubled
+    assert sorted(case.id for case in CHECK_CASES) == sorted([
+        "core/geodesic-tables", "core/method-agreement", "core/dependency-range", "core/dependency-sum",
+        "core/geodetic-flags",
+        "products/labeling-roundtrip", "products/edge-stream", "products/distance-additivity",
+        "products/sigma-agreement", "products/interval-characterization", "products/dependency-agreement",
+        "products/fiber-convexity", "products/diameter-additivity", "products/betweenness-agreement",
+        "products/wiener-agreement", "products/associativity",
+        "closed-forms/hamming", "closed-forms/uniform-complete", "closed-forms/hypercube",
+        "closed-forms/hypercube-sigma", "closed-forms/cycle-products", "closed-forms/even-cycles-alt",
+        "closed-forms/torus", "closed-forms/grid", "closed-forms/anchors", "closed-forms/debruijn-lattice-paths",
+        "closed-forms/cycle-product-wiener",
+        "sum-identity/totals",
+        "cli/edge-list-roundtrip", "cli/report-exactness",
+    ])
 
 
 def test_suite_budget(results):
@@ -104,17 +137,26 @@ FAULTS = [
 def test_product_sweeps_catch_a_single_wrong_value(monkeypatch, check, name, wrong_at, wrong, detail):
     original = getattr(verify, name)
     monkeypatch.setattr(verify, name, lambda spec, *coords: wrong if coords == wrong_at else original(spec, *coords))
-    body = next(fn for _, n, fn in _CHECKS if n == check)
+    body = _body(check)
     with pytest.raises(CheckFailure) as failure:
         body()
     assert str(failure.value) == detail
 
 
-def _wrong_exact_field(text: str) -> str:
-    # vertex 0's row names a value one more than it carries; its decimal column is left as written
+def _first_exact_field(text: str, write) -> str:
+    # vertex 0's exact field rewritten by *write*; its decimal column is left as written
     header, first, rest = text.split("\n", 2)
     label, exact, decimal = first.split(",")
-    return "\n".join([header, f"{label},{Fraction(exact) + 1},{decimal}", rest])
+    return "\n".join([header, f"{label},{write(exact)},{decimal}", rest])
+
+
+def _wrong_exact_field(text: str) -> str:
+    return _first_exact_field(text, lambda exact: str(Fraction(exact) + 1))
+
+
+def _signed_unreduced_field(text: str) -> str:
+    # vertex 0 of grid 3x3 carries 4/3, a value Fraction also reads from +8/6
+    return _first_exact_field(text, lambda exact: "+8/6")
 
 
 def _wrong_den(text: str) -> str:
@@ -123,10 +165,19 @@ def _wrong_den(text: str) -> str:
     return json.dumps(payload)
 
 
-# (patched writer, its fault, expected detail): the first report read back is grid 3x3's
+def _unreduced_num_den(text: str) -> str:
+    payload = json.loads(text)
+    payload["values"][0].update(num=8, den=6)
+    return json.dumps(payload)
+
+
+# (patched writer, its fault, expected detail): the first report read back is grid 3x3's; each
+# exact field must be its value's p/q in lowest terms, so a value written as 8/6 fails like a wrong one
 REPORT_FAULTS = [
     ("report_to_csv", _wrong_exact_field, "grid 3x3: CSV round trip lost exactness"),
     ("report_to_json", _wrong_den, "grid 3x3: JSON round trip changed the report"),
+    ("report_to_csv", _signed_unreduced_field, "grid 3x3: CSV round trip lost exactness"),
+    ("report_to_json", _unreduced_num_den, "grid 3x3: JSON round trip changed the report"),
 ]
 
 
@@ -134,17 +185,17 @@ REPORT_FAULTS = [
 def test_report_exactness_catches_a_faulty_writer(monkeypatch, name, fault, detail):
     original = getattr(verify, name)
     monkeypatch.setattr(verify, name, lambda report: fault(original(report)))
-    body = next(fn for _, n, fn in _CHECKS if n == "report-exactness")
+    body = _body("report-exactness")
     with pytest.raises(CheckFailure) as failure:
         body()
     assert str(failure.value) == detail
 
 
-# (check, patched name, its wrong stand-in, expected detail): the first instances compared are P_2 in the
-# core scope, K_2 (H[2]) in the hamming check and P_2 x P_2, a 4-cycle, in betweenness-agreement
+# (check or lemma, patched name, its wrong stand-in, expected detail): the first instances compared are
+# P_2 in the core graph walk, K_2 (H[2]) in the hamming check and P_2 x P_2, a 4-cycle, in betweenness-agreement
 VERTEX_FAULTS = [
     ("method-agreement", "_definitional", lambda g: (0, 1), "P_2: vertex 1: definitional 1, brandes 0"),
-    ("hamming", "hamming_bc", lambda sizes: Fraction(1, 3), "H[2]: vertex 0: formula 1/3, brandes 0"),
+    ("hamming", "hamming_bc", lambda sizes: Fraction(1, 3), "H[2]: vertex 0: formula 1/3, brandes 0, uniform 0"),
     (
         "betweenness-agreement", "factorized_betweenness_all", lambda spec: (0,) * spec.vertex_count,
         "P_2 x P_2: vertex 0: brandes 1/2, definitional 1/2, factorized 0",
@@ -155,7 +206,7 @@ VERTEX_FAULTS = [
 @pytest.mark.parametrize("check, name, wrong, detail", VERTEX_FAULTS)
 def test_vertex_sweeps_name_each_route_at_the_first_wrong_vertex(monkeypatch, check, name, wrong, detail):
     monkeypatch.setattr(verify, name, wrong)
-    body = next(fn for _, n, fn in _CHECKS if n == check)
+    body = _body(check)
     with pytest.raises(CheckFailure) as failure:
         body()
     assert str(failure.value) == detail
@@ -187,7 +238,7 @@ def test_every_budget_names_a_check():
 
 
 def test_one_cycle_multisets_reach_every_cycle_to_64():
-    # cycle-product-wiener compares each of C_3 .. C_64 alone with its BFS Wiener index
+    # cycle-products compares each of C_3 .. C_64 alone with its BFS Wiener index
     assert {(n,) for n in range(3, 65)} <= set(verify._size_multisets(3, 64))
 
 

@@ -28,7 +28,7 @@ from boxbc import (
     path,
 )
 from boxbc.cli import main
-from boxbc.verify import _LADDERS, CheckFailure, family_factors, run_bench
+from boxbc.verify import _LADDERS, CheckFailure, _rung_factors, run_bench
 from oracles import csv_values, json_report
 
 
@@ -288,13 +288,19 @@ def test_coordinate_labels_refuse_a_plain_input_before_any_work(capsys, monkeypa
     def refuse(*args, **kwargs):
         raise AssertionError("the route ran before the usage error")
 
+    class Unbuilt(Fraction):
+        def __new__(cls, *args, **kwargs):
+            raise AssertionError("a closed-form value was built before the usage error")
+
     monkeypatch.setattr(cli, "load_graph", refuse)
     monkeypatch.setattr(cli, "betweenness", refuse)
+    monkeypatch.setattr(cli, "Fraction", Unbuilt)
     message = "usage error: --labels coords needs a product input (--factors or a product family)\n"
     for argv in (
         [str(tmp_path / "q9.el")],
         ["--family", "cycle", "4"],
         ["--family", "path", "5", "--method", "closed-form"],
+        ["--family", "path", "1000000", "--method", "closed-form"],
         ["--family", "star", "3", "--method", "brandes"],
     ):
         assert run_cli(capsys, "bc", *argv, "--labels", "coords") == (1, "", message)
@@ -389,7 +395,7 @@ def test_bench_vertex_count_rule_matches_the_built_factors(family):
     # run_bench sizes a rung from the counts its factors list, before building them
     low, _, rung = _LADDERS[family]
     for m in range(low, low + 4):
-        assert [g.vertex_count for g in family_factors(family, m)] == [count for _, count in rung(m)]
+        assert [g.vertex_count for g in _rung_factors(family, m)] == [count for _, count in rung(m)]
 
 
 # each ladder's four smallest rungs, pinned so that rewriting a rung can neither relabel nor resize it
@@ -412,7 +418,7 @@ def test_bench_refuses_an_over_cap_ladder_before_building_a_factor(capsys, monke
     def unbuilt(*args, **kwargs):
         pytest.fail("a factor graph was built before the cap was checked")
 
-    monkeypatch.setattr("boxbc.verify.family_factors", unbuilt)
+    monkeypatch.setattr("boxbc.verify._rung_factors", unbuilt)
     code, out, err = run_cli(capsys, "bench", "--family", "hamming", "--max", "400", "--methods", "factorized")
     message = "K_317 x K_317 has 100489 vertices; factorized bench instances are capped at 100000"
     assert (code, out, err) == (2, "", f"error: {message}\n")
