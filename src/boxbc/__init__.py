@@ -17,11 +17,12 @@ _EXPORTS = {
     "centrality": "betweenness",
     "generators": "FAMILIES check_family complete cycle cycle_product_wiener even_cycles_bc family_factors generate"
     " grid grid_bc hamming hamming_bc hypercube hypercube_bc odd_cycles_bc path star torus torus_bc",
-    "graph": "DisconnectedGraphError GeodesicTable Graph GraphError all_pairs_tables average_distance"
-    " bfs_geodesics diameter distance format_edge_list graph_from_edges interval is_connected is_geodetic"
-    " load_graph pair_dependency parse_edge_list save_graph sigma sigma_through wiener",
+    "graph": "DisconnectedGraphError GeodesicTable Graph GraphError all_pairs_tables bfs_geodesics"
+    " format_edge_list graph_from_edges is_connected load_graph parse_edge_list save_graph wiener",
     "product": "ProductGraph ProductSpec cartesian_product factorized_betweenness factorized_betweenness_all"
-    " interval_membership product_distance product_pair_dependency product_sigma product_spec product_wiener",
+    " product_spec product_wiener",
+    "queries": "average_distance diameter distance interval interval_membership is_geodetic pair_dependency"
+    " product_distance product_pair_dependency product_sigma sigma sigma_through",
     "report": "CentralityReport report_to_csv report_to_json",
     "verify": "CheckResult SCOPES run_verify",
 }

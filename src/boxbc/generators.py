@@ -14,12 +14,19 @@ graph.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import prod
 from typing import Callable
 
+from . import _bind_on_first_use
 from .graph import Graph, GraphError, graph_from_edges, is_int
-from .product import cartesian_product, factorized_betweenness, product_spec
+
+# The product builders and ``grid_bc`` read these names through ``_self``, this
+# module, and each is imported from ``product`` on first read, as in ``cli``: a
+# family that is no product, and every uniform closed form, loads no product code.
+__getattr__ = _bind_on_first_use(globals(), {"product": "cartesian_product factorized_betweenness product_spec"})
+_self = sys.modules[__name__]
 
 
 def path(n: int) -> Graph:
@@ -44,19 +51,19 @@ def star(leaves: int) -> Graph:
 
 
 def grid(m: int, n: int) -> Graph:
-    return cartesian_product(family_factors("grid", m, n)).graph
+    return _self.cartesian_product(family_factors("grid", m, n)).graph
 
 
 def hypercube(r: int) -> Graph:
-    return cartesian_product(family_factors("hypercube", r)).graph
+    return _self.cartesian_product(family_factors("hypercube", r)).graph
 
 
 def hamming(*sizes: int) -> Graph:
-    return cartesian_product(family_factors("hamming", *sizes)).graph
+    return _self.cartesian_product(family_factors("hamming", *sizes)).graph
 
 
 def torus(m: int, n: int) -> Graph:
-    return cartesian_product(family_factors("torus", m, n)).graph
+    return _self.cartesian_product(family_factors("torus", m, n)).graph
 
 
 # family -> (builder, parameter count, least value of every parameter, range
@@ -187,7 +194,7 @@ def grid_bc(m: int, n: int, a: int, b: int) -> Fraction:
     check_family("grid", m, n)
     if not (is_int(a) and is_int(b) and 1 <= a <= m and 1 <= b <= n):
         raise GraphError(f"position ({a}, {b}) outside grid 1..{m} x 1..{n}")
-    return factorized_betweenness(product_spec(family_factors("grid", m, n)), (a - 1, b - 1))
+    return _self.factorized_betweenness(_self.product_spec(family_factors("grid", m, n)), (a - 1, b - 1))
 
 
 def cycle_product_wiener(sizes) -> int:

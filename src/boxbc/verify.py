@@ -26,32 +26,21 @@ from .generators import (
     _cycle_product_bc, complete, cycle, cycle_product_wiener, even_cycles_bc, grid, grid_bc, hamming, hamming_bc,
     hypercube, hypercube_bc, odd_cycles_bc, path, star, torus, torus_bc,
 )
-from .graph import (
-    Graph,
-    GraphError,
-    Record,
-    all_pairs_tables,
+from .graph import Graph, GraphError, Record, all_pairs_tables, format_edge_list, parse_edge_list, wiener
+from .product import (
+    ProductGraph, ProductSpec, cartesian_product, factorized_betweenness_all, product_spec, product_wiener,
+)
+from .queries import (
     average_distance,
     diameter,
     distance,
-    format_edge_list,
     interval,
+    interval_membership,
     is_geodetic,
     pair_dependency,
-    parse_edge_list,
-    wiener,
-)
-from .product import (
-    ProductGraph,
-    ProductSpec,
-    cartesian_product,
-    factorized_betweenness_all,
-    interval_membership,
     product_distance,
     product_pair_dependency,
     product_sigma,
-    product_spec,
-    product_wiener,
 )
 from .report import CentralityReport, _uncapped_int_text, _vertex_labels, report_to_csv, report_to_json
 

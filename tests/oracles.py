@@ -3,8 +3,9 @@
 The oracles share no code with the library: distances and geodesic counts
 come from integer powers of the adjacency matrix, dependencies and
 betweenness from exhaustive enumeration of every geodesic.  Slow on
-purpose; use small graphs.  Reports are read back with ``csv`` and ``json``
-alone, under the writers' lifted int-digit cap.
+purpose; use small graphs.  Reports are read back, and written for
+comparison, with ``csv``, ``json`` and ``decimal`` alone, under the writers'
+lifted int-digit cap.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 
@@ -121,3 +123,36 @@ def json_report(text: str) -> CentralityReport:
         payload = json.loads(text)
     values = tuple(Fraction(entry["num"], entry["den"]) for entry in payload["values"])
     return CentralityReport(payload["method"], payload["graph"], values, payload.get("uniform", False))
+
+
+def _reference_labels(report: CentralityReport, labels) -> list:
+    return list(labels) if labels is not None else ["*"] if report.uniform else list(range(len(report.values)))
+
+
+def csv_reference(report: CentralityReport, labels=None) -> str:
+    """The CSV report as ``csv.writer`` writes its rows, decimals from a 12-digit ``Decimal`` division."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(("vertex", "betweenness", "decimal"))
+    with _uncapped_int_text(), localcontext() as ctx:
+        ctx.prec = 12
+        for label, v in zip(_reference_labels(report, labels), report.values):
+            decimal = Decimal(v.numerator) / Decimal(v.denominator)
+            writer.writerow([label, f"{v.numerator}/{v.denominator}", str(decimal)])
+    return out.getvalue()
+
+
+def json_reference(report: CentralityReport, labels=None) -> str:
+    """The JSON report as ``json.dumps(payload, indent=2)`` writes it, and a newline."""
+    payload: dict = {
+        "method": report.method,
+        "graph": report.graph,
+        "values": [
+            {"vertex": label, "num": v.numerator, "den": v.denominator}
+            for label, v in zip(_reference_labels(report, labels), report.values)
+        ],
+    }
+    if report.uniform:
+        payload["uniform"] = True
+    with _uncapped_int_text():
+        return json.dumps(payload, indent=2) + "\n"

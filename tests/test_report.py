@@ -5,10 +5,12 @@ from decimal import ROUND_DOWN, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxbc import CentralityReport, betweenness, grid, torus
 from boxbc.report import DECIMAL_DIGITS, _uncapped_int_text, decimal_str, fraction_str, report_to_csv, report_to_json
-from oracles import csv_values, json_report
+from oracles import csv_reference, csv_values, json_reference, json_report
 
 
 def test_fraction_strings():
@@ -86,3 +88,53 @@ def test_json_roundtrip():
     text = report_to_json(uniform)
     assert '"uniform": true' in text
     assert json_report(text) == uniform
+
+
+# a numerator of 4,521 digits, past Python's 4,300-digit int-to-text cap
+_LONG = Fraction(7 * 10**4520 + 1, 3)
+# characters that csv quotes or leaves alone, json escapes or leaves alone
+_LABEL_CHARS = st.sampled_from([",", '"', "\n", "\r", "\\", "\t", "\x7f", "é", "\U0001f600", "*", " ", "a", "0"])
+_texts = st.text(_LABEL_CHARS | st.characters(), max_size=6)
+
+
+@st.composite
+def _reports(draw) -> tuple[CentralityReport, list[str] | None]:
+    """A report and its labels (None for ids): rows share value objects drawn from a small pool."""
+    method, graph = draw(_texts), draw(_texts)
+    if draw(st.booleans()):
+        value = draw(st.fractions(min_value=0) | st.just(_LONG))
+        return CentralityReport(method, graph, (value,), uniform=True), None
+    pool = draw(st.lists(st.fractions(min_value=0, max_denominator=10**6) | st.just(_LONG), min_size=1, max_size=4))
+    values = tuple(draw(st.lists(st.sampled_from(pool), max_size=12)))
+    labels = draw(st.none() | st.lists(_texts | st.just("*") | st.just(""), min_size=len(values), max_size=len(values)))
+    return CentralityReport(method, graph, values), labels
+
+
+@given(_reports())
+@settings(max_examples=300)
+def test_writers_match_the_csv_and_json_modules(case):
+    report, labels = case
+    assert report_to_csv(report, labels) == csv_reference(report, labels)
+    assert report_to_json(report, labels) == json_reference(report, labels)
+
+
+@pytest.mark.parametrize("uniform", [False, True])
+def test_writers_match_the_csv_and_json_modules_past_the_int_digit_cap(uniform):
+    report = CentralityReport("closed-form", "big", (_LONG,) if uniform else (_LONG, Fraction(1, 2), _LONG), uniform)
+    assert report_to_csv(report) == csv_reference(report)
+    assert report_to_json(report) == json_reference(report)
+
+
+def test_empty_report():
+    report = CentralityReport("brandes", "empty", ())
+    assert report_to_csv(report) == csv_reference(report) == "vertex,betweenness,decimal\n"
+    assert report_to_json(report) == json_reference(report)
+    assert '"values": []' in report_to_json(report)
+
+
+def test_negative_value_is_refused_when_shared_and_last_distinct():
+    # the one negative value is a single object on several rows, first met after every other distinct value
+    half, one, negative = Fraction(1, 2), Fraction(1), Fraction(-1, 3)
+    with pytest.raises(ValueError, match="cannot be negative"):
+        CentralityReport("brandes", "g", (half, one, half, negative, one, negative, negative))
+
