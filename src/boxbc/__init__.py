@@ -21,8 +21,8 @@ _EXPORTS = {
     " format_edge_list graph_from_edges is_connected load_graph parse_edge_list save_graph wiener",
     "product": "ProductGraph ProductSpec cartesian_product factorized_betweenness factorized_betweenness_all"
     " product_spec product_wiener",
-    "queries": "average_distance diameter distance interval interval_membership is_geodetic pair_dependency"
-    " product_distance product_pair_dependency product_sigma sigma sigma_through",
+    "queries": "average_distance diameter distance interval is_geodetic pair_dependency product_distance"
+    " product_pair_dependency product_sigma sigma sigma_through",
     "report": "CentralityReport report_to_csv report_to_json",
     "verify": "CheckResult SCOPES run_verify",
 }

@@ -1,9 +1,11 @@
 """One-pair queries on a graph and on a product from its factor tables alone, and the graph summaries built on them.
 
 Each query reads the memoized per-source tables of :func:`boxbc.graph.all_pairs_tables`; a product query
-combines its factors' tables by the factorization set out in :mod:`boxbc.product`.  No command calls these
-queries, ``verify`` and library callers do, and a request compiles every module it imports, so they live
-apart from the modules a request's route runs.
+combines its factors' tables by the factorization set out in :mod:`boxbc.product`.  The interval between two
+product vertices is the product of the factors' intervals, so ``x`` lies on a shortest ``u``-``v`` path exactly
+when ``product_distance`` adds up through it, and away from ``u`` and ``v`` that is exactly where
+``product_pair_dependency`` is non-zero.  No command calls these queries, ``verify`` and library callers do,
+and a request compiles every module it imports, so they live apart from the modules a request's route runs.
 """
 
 from __future__ import annotations
@@ -58,11 +60,15 @@ def pair_dependency(g: Graph, u: int, v: int, x: int) -> Fraction:
     if u == v:
         raise GraphError("pair dependency needs two distinct endpoints")
     if x == u or x == v:
-        return Fraction(0)
-    den = sigma(g, u, v)
+        return ZERO
+    tables = all_pairs_tables(g)
+    tu, tx = tables[u], tables[x]
+    den = tu.sigma[v]
     if den == 0:
         raise DisconnectedGraphError(f"vertices {u} and {v} are not connected")
-    return Fraction(sigma_through(g, u, v, x), den)
+    if tu.dist[x] + tx.dist[v] != tu.dist[v]:
+        return ZERO
+    return Fraction(tu.sigma[x] * tx.sigma[v], den)
 
 
 def interval(g: Graph, u: int, v: int) -> frozenset[int]:
@@ -144,22 +150,15 @@ def product_sigma(spec: ProductSpec, u: Sequence[int], v: Sequence[int]) -> int:
     return _sigma(spec.factor_tables, _check_coords(spec, u), _check_coords(spec, v))
 
 
-def interval_membership(spec: ProductSpec, v1: Sequence[int], v2: Sequence[int], v3: Sequence[int]) -> bool:
-    """True when ``v3`` lies on a shortest ``v1``-``v2`` path in the product.
-
-    Holds exactly when every coordinate of ``v3`` lies in the corresponding
-    factor interval, which is a per-factor distance test.
-    """
-    return _between(spec.factor_tables, _check_coords(spec, v1), _check_coords(spec, v2), _check_coords(spec, v3))
-
-
 def product_pair_dependency(spec: ProductSpec, u: Sequence[int], v: Sequence[int], x: Sequence[int]) -> Fraction:
     """Pair dependency of ``{u, v}`` on ``x``, from factor tables alone.
 
     Computes ``sigma(u,x) * sigma(x,v) / sigma(u,v)`` with every sigma in its
-    factorized form, or 0 for an endpoint ``x`` or one off the interval.  A
-    factor where ``u`` and ``v`` coincide contributes a unit count, so
-    coincident projections need no special casing.
+    factorized form, or 0 for an endpoint ``x`` or one off the interval.  The
+    product interval is the product of the factor intervals, so the interval
+    test is per factor: ``d(u_i,x_i) + d(x_i,v_i) == d(u_i,v_i)`` in every
+    factor ``i``.  A factor where ``u`` and ``v`` coincide contributes a unit
+    count, so coincident projections need no special casing.
     """
     u = _check_coords(spec, u)
     v = _check_coords(spec, v)

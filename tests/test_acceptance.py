@@ -9,8 +9,9 @@ is the first to build (see ``run_verify``).
 ``tests/verify_all.txt`` pins every line ``boxbc verify --scope all`` prints
 from that run, without its seconds, and so the instance counts of every
 sweep.  The remaining tests guard the harness itself: the product walks
-catch a single wrong value of each function under test, report-exactness
-catches a writer that gets one value wrong, the per-vertex sweeps name
+catch a single wrong value of each function under test and a wrong interval
+test inside the dependency query, report-exactness catches a writer that
+gets one value wrong, the per-vertex sweeps name
 every route's value at the first vertex that differs, the basket holds no
 labeled graph twice, the hypercubes and tori are graphs the hamming and
 cycle-products checks accumulate, every budget names a check, the
@@ -26,13 +27,13 @@ from pathlib import Path
 
 import pytest
 
-from boxbc import DisconnectedGraphError, cli, complete, cycle, hamming, hypercube, path, torus, verify
+from boxbc import DisconnectedGraphError, cli, complete, cycle, hamming, hypercube, path, queries, torus, verify
 from boxbc.verify import _CHECKS, CheckFailure, run_verify
 
 SUITE_BUDGET = 300.0
 BUDGETS = {
     "pair-agreement": 30.0,
-    "triple-agreement": 60.0,
+    "triple-agreement": 30.0,
     "betweenness-agreement": 60.0,
     "grid": 30.0,
     "anchors": 10.0,
@@ -126,10 +127,6 @@ FAULTS = [
         "triple-agreement", "product_pair_dependency", ((0,), (1,), (2,)), Fraction(1, 2),
         "P_3: delta((0,),(1,)|(2,)) = 1/2 != 0",
     ),
-    (
-        "triple-agreement", "interval_membership", ((0,), (2,), (1,)), False,
-        "P_3: membership of (1,) between (0,) and (2,): False != True",
-    ),
 ]
 
 
@@ -141,6 +138,16 @@ def test_product_sweeps_catch_a_single_wrong_value(monkeypatch, check, name, wro
     with pytest.raises(CheckFailure) as failure:
         body()
     assert str(failure.value) == detail
+
+
+def test_triple_walk_catches_a_wrong_interval_test(monkeypatch):
+    # the dependency query's own interval test, wrong at one P_3 triple, reads as a dependency of 0
+    original = queries._between
+    wrong_at = ((0,), (2,), (1,))
+    monkeypatch.setattr(queries, "_between", lambda tables, *coords: coords != wrong_at and original(tables, *coords))
+    with pytest.raises(CheckFailure) as failure:
+        _body("interval-characterization")()
+    assert str(failure.value) == "P_3: delta((0,),(2,)|(1,)) = 0 != 1"
 
 
 def _first_exact_field(text: str, write) -> str:

@@ -124,6 +124,7 @@ def test_dependency_validation():
     split = graph_from_edges(4, [(0, 1), (2, 3)])
     with pytest.raises(DisconnectedGraphError):
         pair_dependency(split, 0, 2, 1)
+    assert pair_dependency(split, 0, 2, 0) == 0
 
 
 @pytest.mark.parametrize("u, v, x", [(0, 99, 0), (99, 0, 0), (0, True, 1)])

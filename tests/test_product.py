@@ -26,7 +26,6 @@ from boxbc import (
     grid,
     hypercube,
     hypercube_bc,
-    interval_membership,
     path,
     product_distance,
     product_pair_dependency,
@@ -104,7 +103,6 @@ def test_bad_coordinates_keep_their_messages(bad, message):
         lambda: product_distance(spec, bad, good),
         lambda: product_distance(spec, good, bad),
         lambda: product_sigma(spec, good, bad),
-        lambda: interval_membership(spec, good, other, bad),
         lambda: product_pair_dependency(spec, bad, other, good),
         lambda: product_pair_dependency(spec, good, other, bad),
         lambda: factorized_betweenness(spec, bad),
@@ -124,8 +122,7 @@ def test_int_subclass_coordinates_are_accepted():
     assert spec.encode(v) == 5
     assert product_distance(spec, (0, 0), v) == 3
     assert product_sigma(spec, v, (0, 0)) == 3
-    assert interval_membership(spec, (0, 0), v, (Coordinate(1), 0))
-    assert product_pair_dependency(spec, (0, 0), v, (1, 0)) == Fraction(2, 3)
+    assert product_pair_dependency(spec, (0, 0), v, (Coordinate(1), 0)) == Fraction(2, 3)
 
 
 def test_known_products():
@@ -226,12 +223,15 @@ def test_sigma_multiplies_and_interleaves():
 
 def test_interval_membership_examples():
     spec = product_spec([path(3), path(3)])
-    assert interval_membership(spec, (0, 0), (2, 2), (1, 1))
-    assert interval_membership(spec, (0, 0), (2, 2), (0, 0))
-    assert interval_membership(spec, (0, 0), (2, 2), (0, 2))
-    assert interval_membership(spec, (0, 0), (2, 2), (2, 0))
-    assert not interval_membership(spec, (0, 0), (1, 0), (2, 0))
-    assert not interval_membership(spec, (0, 0), (0, 2), (1, 1))
+    # x is on the u-v interval exactly when the distance adds up through it, and,
+    # away from u and v, exactly when the dependency of {u, v} on x is positive
+    u, v = (0, 0), (2, 2)
+    for x in [(1, 1), (0, 0), (0, 2), (2, 0)]:
+        assert product_distance(spec, u, x) + product_distance(spec, x, v) == product_distance(spec, u, v)
+        if x not in (u, v):
+            assert product_pair_dependency(spec, u, v, x) > 0
+    assert product_pair_dependency(spec, (0, 0), (1, 0), (2, 0)) == 0
+    assert product_pair_dependency(spec, (0, 0), (0, 2), (1, 1)) == 0
 
 
 @given(small_factors(max_product=24))
